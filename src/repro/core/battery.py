@@ -44,6 +44,13 @@ deterministic, so this module runs it that way:
 :func:`run_battery` produces per-replicate summaries plus per-unit timing
 and cache telemetry; :func:`compare_models` layers target scoring on top
 (the engine behind experiment T1 and the ``repro battery`` CLI command).
+
+The battery in batch and :mod:`repro.serve` per request run one **cell
+pipeline**: :func:`plan_cells`, :func:`probe_cells` (one cache read per
+group), :func:`topology_task` (a spool hit or the generate unit that
+publishes it), :func:`unit_task` units run by :meth:`WorkerPool.run`,
+and :func:`settle_unit` (adopt the topology, write the cells).  Served
+and battery cells for the same inputs are one cache entry by construction.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..generators.base import TopologyGenerator
@@ -84,6 +92,7 @@ from .metrics import (
 from .registry import resolve_generator
 from .report import format_table, shorten
 from .transport import (
+    SharedGraphHandle,
     SnapshotSpool,
     attach_graph,
     publish_graph,
@@ -102,6 +111,13 @@ __all__ = [
 ]
 
 CacheLike = Union[None, str, Path, ResultCache, NullCache]
+
+#: The summarize() defaults of every battery cell: the one definition
+#: behind run_battery's and compare_models' keyword defaults and the
+#: service's cells, so served and batch cells share keys.
+SUMMARIZE_DEFAULTS: Mapping[str, int] = MappingProxyType(
+    {"path_sample_threshold": 1500, "path_samples": 400, "min_tail": 50}
+)
 
 #: Which summarize() parameters each metric group actually depends on;
 #: cache keys embed only these, so e.g. changing ``path_samples`` does not
@@ -377,6 +393,16 @@ def _identity(generator: TopologyGenerator) -> Tuple[str, Dict[str, Any]]:
     return name, generator.params()
 
 
+def replicate_seed(
+    generator: TopologyGenerator, n: int, base_seed: int, replicate: int
+) -> int:
+    """The battery seed of *generator*'s *replicate*: a pure function of
+    model identity, plain params (never the engine), *n*, *base_seed* and
+    the replicate index, which served ``replicate`` requests share."""
+    identity, params = _identity(generator)
+    return derive_seed("battery-unit", identity, params, n, base_seed, replicate)
+
+
 def cell_payload(
     identity: str,
     params: Mapping[str, Any],
@@ -406,10 +432,6 @@ def cell_payload(
     }
 
 
-# Historical private name, still imported by older call sites.
-_cell_payload = cell_payload
-
-
 def generation_payload(
     identity: str,
     params: Mapping[str, Any],
@@ -418,11 +440,11 @@ def generation_payload(
 ) -> Dict[str, Any]:
     """Content-addressed identity of one published topology snapshot.
 
-    Shared between the battery's shared-transport generation wave and the
-    serving layer's snapshot probe: the same (model identity, params, n,
-    seed) always maps to the same :class:`SnapshotSpool` key, so a served
-    request attaches a topology the battery generated (or vice versa)
-    instead of regenerating it.
+    The same (model identity, params, n, seed) always maps to the same
+    :class:`SnapshotSpool` key, and the battery and the service spool in
+    the same place beside their cell store (:func:`cell_spool`), so a
+    served request attaches a topology the battery generated (or vice
+    versa) instead of regenerating it.
     """
     return {
         "kind": "battery-generation",
@@ -444,34 +466,190 @@ def _ambient_obs(tracer: Tracer):
         set_tracer(previous)
 
 
-def _battery_task(task):
-    """Worker kernel: one battery work unit, dispatched on ``task["kind"]``.
+# ------------------------------------------------------------ cell pipeline
 
-    * ``"full"`` — generate one topology and compute its missing groups
-      (the ``regenerate`` transport's unit, and the historical shape);
-    * ``"generate"`` — generate one topology and publish it as a shared
-      snapshot at ``task["spool_path"]``; the resulting
-      :class:`~repro.core.transport.SharedGraphHandle` rides back in the
-      obs payload under ``"handle"``;
-    * ``"measure"`` — attach ``task["handle"]`` (served from this
-      process's transport attach cache after the first touch) and compute
-      ``task["groups"]`` on the shared topology.
+
+@dataclass
+class CellPlan:
+    """One topology's way through the cell pipeline.
+
+    ``cells`` maps group → (cache key, payload).  :func:`probe_cells`
+    fills ``values`` and ``pending``; a spool hit or a settled generate
+    unit sets ``handle``; a failed unit leaves its traceback in ``error``.
+    """
+
+    label: str
+    generator: TopologyGenerator
+    n: int
+    seed: int
+    replicate: Optional[int]
+    cells: Dict[str, Tuple[str, Dict[str, Any]]]
+    gen_key: str
+    values: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    pending: Tuple[str, ...] = ()
+    handle: Optional[SharedGraphHandle] = None
+    error: Optional[str] = None
+
+    def merged(self) -> Dict[str, float]:
+        """The values of every group present, merged in plan order."""
+        out: Dict[str, float] = {}
+        for group in self.cells:
+            out.update(self.values.get(group, {}))
+        return out
+
+
+def plan_cells(
+    generator: TopologyGenerator,
+    n: int,
+    seed: int,
+    groups: Sequence[str],
+    sum_params: Mapping[str, Any],
+    label: Optional[str] = None,
+    replicate: Optional[int] = None,
+) -> CellPlan:
+    """Step 1: the cell keys and generation key of *generator* at (*n*,
+    *seed*), on its ``cache_params`` (so only engine-sensitive generators
+    key on the engine).  *label* (default: the model identity) and
+    *replicate* name the plan in records, journal events and spans."""
+    identity, _ = _identity(generator)
+    params = generator.cache_params(n)
+    cells = {}
+    for group in groups:
+        payload = cell_payload(identity, params, n, seed, group, sum_params)
+        cells[group] = (canonical_key(payload), payload)
+    gen_key = canonical_key(generation_payload(identity, params, n, seed))
+    return CellPlan(
+        label if label is not None else identity, generator, n, seed,
+        replicate, cells, gen_key,
+    )
+
+
+def probe_cells(plan: CellPlan, cache: Union[ResultCache, NullCache]) -> List[str]:
+    """Step 2: exactly one ``cache.get`` per planned group.  Hits land in
+    ``plan.values``, misses in ``plan.pending``; returns the hit groups."""
+    hits = []
+    for group, (key, payload) in plan.cells.items():
+        value = cache.get(key, payload)
+        if value is not None:
+            plan.values[group] = value
+            hits.append(group)
+    plan.pending = tuple(group for group in plan.cells if group not in plan.values)
+    return hits
+
+
+def cell_spool(cache: Union[ResultCache, NullCache]) -> SnapshotSpool:
+    """The snapshot spool that goes with a cell store: persistent at
+    ``<cache root>/snapshots`` for a :class:`ResultCache` (so battery runs
+    and the service attach each other's topologies), else ephemeral."""
+    return SnapshotSpool(
+        cache.root / "snapshots" if isinstance(cache, ResultCache) else None
+    )
+
+
+def unit_task(
+    plan: CellPlan,
+    groups: Sequence[str] = (),
+    sum_params: Optional[Mapping[str, Any]] = None,
+    spool_path: Optional[str] = None,
+    trace: bool = False,
+    profile_dir: Union[None, str, Path] = None,
+) -> Dict[str, Any]:
+    """The one task protocol: a work unit for :meth:`WorkerPool.run`.
+
+    The source is ``plan.handle`` to attach, else ``plan.generator`` to
+    run; the unit publishes to *spool_path* when given and measures
+    *groups*.  ``task["unit"]`` holds its journal fields, among them the
+    label ``kind``: ``measure``, ``generate`` or ``full``.
+    """
+    if plan.handle is not None:
+        kind, suffix = "measure", "-" + "-".join(groups)
+    elif spool_path is not None:
+        kind, suffix = "generate", "-gen"
+    else:
+        kind, suffix = "full", ""
+    unit = {
+        "model": plan.label, "replicate": plan.replicate,
+        "seed": plan.seed, "kind": kind,
+    }
+    if kind == "measure" and len(groups) == 1:
+        unit["group"] = groups[0]
+    label = plan.label if plan.replicate is None else f"{plan.label}-rep{plan.replicate}"
+    return {
+        "unit": unit,
+        "source": plan.handle if plan.handle is not None else plan.generator,
+        "n": plan.n,
+        "spool_path": spool_path,
+        "groups": tuple(groups),
+        "sum_params": dict(sum_params or {}),
+        "obs": {"trace": trace, "profile_dir": profile_dir, "label": label + suffix},
+    }
+
+
+def topology_task(
+    plan: CellPlan, spool: SnapshotSpool, **obs: Any
+) -> Optional[Dict[str, Any]]:
+    """Step 3: on a spool hit, set ``plan.handle`` (taking one spool
+    reference) and return ``None``; else return the one generate unit that
+    publishes the topology into *spool*.  *obs* goes to :func:`unit_task`."""
+    plan.handle = spool.probe(plan.gen_key)
+    if plan.handle is not None:
+        return None
+    return unit_task(plan, spool_path=str(spool.path_for(plan.gen_key)), **obs)
+
+
+def settle_unit(
+    plan: CellPlan,
+    outcome: "UnitOutcome",
+    cache: Union[ResultCache, NullCache],
+    spool: Optional[SnapshotSpool] = None,
+) -> bool:
+    """Steps 3–5 for one finished unit; returns whether it succeeded.
+
+    Merges the worker's metrics into the ambient registry, adopts a
+    published topology into *spool*, and writes each measured group's
+    cell through *cache* and into ``plan.values``; a failure's traceback
+    goes to ``plan.error`` (the first one wins).
+    """
+    extras = outcome.extras or {}
+    if extras.get("metrics"):
+        get_registry().merge(extras["metrics"])
+    if outcome.status != "ok":
+        plan.error = plan.error or outcome.error
+        return False
+    if "handle" in extras:
+        spool.adopt(plan.gen_key, extras["handle"])
+        plan.handle = extras["handle"]
+    for group, value in outcome.values.items():
+        key, payload = plan.cells[group]
+        cache.put(key, value, payload)
+        plan.values[group] = value
+    return True
+
+
+def _battery_task(task):
+    """Worker kernel: one unit of the task protocol (see :func:`unit_task`).
+
+    Generates ``task["source"]`` when it is a generator, else attaches
+    the :class:`~repro.core.transport.SharedGraphHandle` (served from this
+    process's transport attach cache after the first touch); publishes
+    the topology at ``task["spool_path"]`` when one is named — the handle
+    rides back in the obs payload under ``"handle"``; and computes
+    ``task["groups"]``.
 
     Module-level and argument-pure so it pickles under any multiprocessing
     start method.  Installs a fresh ambient tracer and metrics registry
     for the unit's duration (identical behavior inline and in a pooled
     worker — no cross-unit bleed, no double counting) and samples rusage
-    around the work.  Returns (task index, group → values, group → real
-    wall seconds, generation seconds, worker pid, obs payload) where the
-    payload carries the unit's span dicts, metrics snapshot, and resource
-    sample.
+    around the work.  Returns (group → values, group → real wall seconds,
+    generation seconds, worker pid, obs payload) where the payload carries
+    the unit's span dicts, metrics snapshot, and resource sample.
     """
-    index = task["index"]
-    kind = task["kind"]
+    unit = task["unit"]
+    source = task["source"]
     obs_conf = task["obs"]
-    seed = task["seed"]
-    model = obs_conf.get("model")
-    tracer = Tracer(enabled=bool(obs_conf.get("trace")))
+    seed = unit["seed"]
+    model = unit["model"]
+    tracer = Tracer(enabled=bool(obs_conf["trace"]))
     registry = MetricsRegistry()
     prev_tracer = set_tracer(tracer)
     prev_registry = set_registry(registry)
@@ -481,24 +659,22 @@ def _battery_task(task):
     gen_seconds = 0.0
     handle = None
     try:
-        with profile_unit(obs_conf.get("profile_dir"), obs_conf.get("label", f"unit-{index}")):
+        with profile_unit(obs_conf["profile_dir"], obs_conf["label"]):
             with tracer.span(
-                "unit", model=model, replicate=obs_conf.get("replicate"),
-                seed=seed, kind=kind,
+                "unit", model=model, replicate=unit["replicate"],
+                seed=seed, kind=unit["kind"],
             ):
-                if kind in ("full", "generate"):
+                if isinstance(source, SharedGraphHandle):
+                    graph = attach_graph(source)
+                else:
                     n = task["n"]
                     start = time.perf_counter()
                     with tracer.span("generate", model=model, n=n):
-                        graph = task["generator"].generate(n, seed=seed)
+                        graph = source.generate(n, seed=seed)
                     gen_seconds = time.perf_counter() - start
-                else:
-                    graph = attach_graph(task["handle"])
-                if kind == "generate":
-                    handle = publish_graph(
-                        graph, task["spool_path"], name=model or ""
-                    )
-                else:
+                if task["spool_path"] is not None:
+                    handle = publish_graph(graph, task["spool_path"], name=model or "")
+                if task["groups"]:
                     values, timings = compute_metric_groups(
                         graph, task["groups"], seed=seed, with_timings=True,
                         **task["sum_params"],
@@ -514,11 +690,11 @@ def _battery_task(task):
     }
     if handle is not None:
         obs_payload["handle"] = handle
-    return index, values, timings, gen_seconds, os.getpid(), obs_payload
+    return values, timings, gen_seconds, os.getpid(), obs_payload
 
 
 @dataclass(frozen=True)
-class _UnitOutcome:
+class UnitOutcome:
     """Terminal result of one work unit after all attempts."""
 
     status: str  # "ok" | "failed" | "timeout"
@@ -536,7 +712,7 @@ def _format_exception(exc: BaseException) -> str:
     return "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
 
 
-def _finish_fields(outcome: _UnitOutcome) -> Dict[str, Any]:
+def _finish_fields(outcome: UnitOutcome) -> Dict[str, Any]:
     """Enriched unit_finish journal fields from a successful outcome:
     generation seconds, per-group seconds, peak RSS, CPU seconds."""
     fields: Dict[str, Any] = {
@@ -556,13 +732,13 @@ def _finish_fields(outcome: _UnitOutcome) -> Dict[str, Any]:
 
 
 def _run_serial(
-    tasks: Sequence[Tuple],
+    tasks: Sequence[Dict[str, Any]],
     timeout: Optional[float],
     retries: int,
     journal: Union[RunJournal, NullJournal],
-    meta: Mapping[int, Dict[str, Any]],
-) -> Dict[int, _UnitOutcome]:
-    """Inline (jobs=1) execution with the same containment semantics.
+) -> List[UnitOutcome]:
+    """Inline (jobs=1) execution with the same containment semantics as
+    :meth:`WorkerPool.run`.
 
     A unit that overruns *timeout* inline cannot be preempted, so the
     limit is enforced retroactively: the overrun unit's values are
@@ -570,26 +746,25 @@ def _run_serial(
     outcomes identical for deterministic workloads.
     """
     registry = get_registry()
-    outcomes: Dict[int, _UnitOutcome] = {}
+    outcomes: List[UnitOutcome] = []
     for task in tasks:
-        index = task["index"]
-        info = meta[index]
-        outcome: Optional[_UnitOutcome] = None
+        info = task["unit"]
+        outcome: Optional[UnitOutcome] = None
         for attempt in range(retries + 1):
             journal.emit("unit_start", attempt=attempt, jobs=1, **info)
             started = time.perf_counter()
             try:
-                _, values, timings, gen_seconds, worker, extras = _battery_task(task)
+                values, timings, gen_seconds, worker, extras = _battery_task(task)
             except Exception as exc:
                 elapsed = time.perf_counter() - started
-                outcome = _UnitOutcome(
+                outcome = UnitOutcome(
                     "failed", seconds=elapsed, worker=os.getpid(),
                     error=_format_exception(exc), attempts=attempt + 1,
                 )
             else:
                 elapsed = time.perf_counter() - started
                 if timeout is not None and elapsed > timeout:
-                    outcome = _UnitOutcome(
+                    outcome = UnitOutcome(
                         "timeout", seconds=elapsed, worker=os.getpid(),
                         error=(
                             f"TimeoutError: unit took {elapsed:.3f}s, "
@@ -598,7 +773,7 @@ def _run_serial(
                         attempts=attempt + 1,
                     )
                 else:
-                    outcome = _UnitOutcome(
+                    outcome = UnitOutcome(
                         "ok", values=values, timings=timings,
                         gen_seconds=gen_seconds, seconds=elapsed,
                         worker=worker, attempts=attempt + 1, extras=extras,
@@ -619,7 +794,7 @@ def _run_serial(
                     "unit_fail", status=outcome.status, attempts=outcome.attempts,
                     error=outcome.error, **info,
                 )
-        outcomes[index] = outcome
+        outcomes.append(outcome)
     return outcomes
 
 
@@ -641,9 +816,10 @@ class WorkerPool:
     is paid once and reused across battery waves, retry rounds, and (in
     the serving layer) across requests for the life of the service.
 
+    * :meth:`run` is the containment loop: the battery runs each wave
+      through it and :class:`repro.serve.ServeDispatcher` each unit.
     * :meth:`submit` hands one task dict to a worker and returns its
-      future — the reusable submit path shared by :func:`_run_parallel`
-      and :class:`repro.serve.ServeDispatcher`.
+      future.
     * :meth:`rebuild` abandons a broken or hung pool without waiting for
       it; the next submit builds a fresh one.
     * :meth:`shutdown` releases the workers (idempotent).
@@ -677,6 +853,121 @@ class WorkerPool:
         """Submit one battery task dict; returns its future."""
         return self.executor.submit(_battery_task, task)
 
+    def run(
+        self,
+        tasks: Sequence[Dict[str, Any]],
+        timeout: Optional[float] = None,
+        retries: int = 0,
+        journal: JournalLike = None,
+        on_rebuild=None,
+    ) -> List[UnitOutcome]:
+        """Run *tasks* (see :func:`unit_task`) with per-unit containment;
+        returns one :class:`UnitOutcome` per task, in order.
+
+        Every unit is submitted individually; an exception raised in a
+        worker costs only its own unit, a unit that overruns *timeout* is
+        abandoned (its worker finishes in the background), and a worker
+        process dying outright (:class:`BrokenExecutor`) charges the unit
+        being waited on and rebuilds the pool for the rest.  Failed or
+        timed-out attempts are re-submitted up to *retries* times before
+        the unit is declared dead; *journal* gets one ``unit_*`` event per
+        start, finish, retry and failure.
+
+        A healthy pool survives retry rounds — only a broken or hung pool
+        is abandoned and rebuilt.  *on_rebuild* — when given — runs after
+        each abandonment before the replacement is built; the shared
+        transport reaps orphaned snapshot staging directories there.
+        """
+        log = resolve_journal(journal)
+        registry = get_registry()
+        pending: Dict[int, int] = {
+            index: 0 for index in range(len(tasks))
+        }  # index → attempts used
+        outcomes: Dict[int, UnitOutcome] = {}
+
+        def charge(index: int, status: str, error: str, seconds: float) -> None:
+            attempts = pending[index] + 1
+            info = tasks[index]["unit"]
+            if attempts > retries:
+                outcomes[index] = UnitOutcome(
+                    status, seconds=seconds, error=error, attempts=attempts
+                )
+                del pending[index]
+                log.emit(
+                    "unit_fail", status=status, attempts=attempts, error=error, **info
+                )
+            else:
+                pending[index] = attempts
+                registry.counter("battery.units.retried").inc()
+                log.emit("unit_retry", attempt=attempts - 1, status=status, **info)
+
+        while pending:
+            broken = False
+            hung = False
+            futures = {}
+            for index in sorted(pending):
+                futures[index] = self.submit(tasks[index])
+                log.emit(
+                    "unit_start", attempt=pending[index], jobs=self.jobs,
+                    **tasks[index]["unit"],
+                )
+            for index, future in futures.items():
+                waited = time.perf_counter()
+                try:
+                    values, timings, gen_seconds, worker, extras = future.result(
+                        timeout=timeout
+                    )
+                except FuturesTimeout:
+                    future.cancel()
+                    hung = True
+                    charge(
+                        index, "timeout",
+                        f"TimeoutError: unit did not finish within the "
+                        f"{timeout}s per-unit timeout",
+                        timeout or 0.0,
+                    )
+                except BrokenExecutor as exc:
+                    # A worker died without raising (segfault, OOM-kill,
+                    # os._exit): the whole pool is unusable.  Attribution
+                    # is heuristic — the unit being waited on is charged —
+                    # and every other in-flight unit is re-run free of
+                    # charge in a fresh pool.
+                    log.emit("pool_broken", error=repr(exc), **tasks[index]["unit"])
+                    charge(
+                        index, "failed",
+                        f"BrokenExecutor: worker process died abruptly "
+                        f"({exc!r}); unit charged heuristically",
+                        time.perf_counter() - waited,
+                    )
+                    broken = True
+                    break
+                except Exception as exc:
+                    charge(
+                        index, "failed", _format_exception(exc),
+                        time.perf_counter() - waited,
+                    )
+                else:
+                    seconds = gen_seconds + sum(timings.values())
+                    outcome = UnitOutcome(
+                        "ok", values=values, timings=timings,
+                        gen_seconds=gen_seconds, seconds=seconds,
+                        worker=worker, attempts=pending[index] + 1, extras=extras,
+                    )
+                    outcomes[index] = outcome
+                    del pending[index]
+                    log.emit(
+                        "unit_finish", **_finish_fields(outcome),
+                        **tasks[index]["unit"],
+                    )
+            # Only a hung or broken pool is abandoned (without blocking on
+            # it); a healthy pool is kept warm for the next retry round and
+            # for whatever the caller runs next.
+            if broken or hung:
+                self.rebuild()
+                if on_rebuild is not None:
+                    on_rebuild()
+        return [outcomes[index] for index in range(len(tasks))]
+
     def rebuild(self) -> None:
         """Abandon the current executor (broken or hung) without waiting.
 
@@ -698,130 +989,6 @@ class WorkerPool:
             executor.shutdown(wait=wait, cancel_futures=True)
 
 
-def _run_parallel(
-    tasks: Sequence[Dict[str, Any]],
-    jobs: int,
-    timeout: Optional[float],
-    retries: int,
-    journal: Union[RunJournal, NullJournal],
-    meta: Mapping[int, Dict[str, Any]],
-    mp_context=None,
-    on_rebuild=None,
-    pool: Optional[WorkerPool] = None,
-) -> Dict[int, _UnitOutcome]:
-    """Pooled execution with per-unit containment.
-
-    Every unit is submitted individually; an exception raised in a worker
-    costs only its own unit, a unit that overruns *timeout* is abandoned
-    (its worker finishes in the background), and a worker process dying
-    outright (:class:`BrokenExecutor`) charges the unit being waited on
-    and rebuilds the pool for the rest.  Failed/timed-out attempts are
-    re-submitted up to *retries* times before the unit is declared dead.
-
-    *pool* — when given — is a caller-owned :class:`WorkerPool` reused
-    across calls (run_battery shares one across its transport waves; the
-    serving layer keeps one warm for the life of the service); otherwise a
-    private pool is built here from the explicit *mp_context* (see
-    :func:`repro.core.transport.resolve_mp_context`) and shut down on
-    exit.  Healthy pools survive retry rounds — only a broken or hung
-    pool is abandoned and rebuilt.  *on_rebuild* — when given — runs
-    after each abandonment before the replacement is built; the shared
-    transport reaps orphaned snapshot staging directories there.
-    """
-    registry = get_registry()
-    by_index = {task["index"]: task for task in tasks}
-    pending: Dict[int, int] = {
-        task["index"]: 0 for task in tasks
-    }  # index → attempts used
-    outcomes: Dict[int, _UnitOutcome] = {}
-    owned = pool is None
-    if owned:
-        pool = WorkerPool(jobs, mp_context)
-
-    def charge(index: int, status: str, error: str, seconds: float) -> None:
-        attempts = pending[index] + 1
-        info = meta[index]
-        if attempts > retries:
-            outcomes[index] = _UnitOutcome(
-                status, seconds=seconds, error=error, attempts=attempts
-            )
-            del pending[index]
-            journal.emit(
-                "unit_fail", status=status, attempts=attempts, error=error, **info
-            )
-        else:
-            pending[index] = attempts
-            registry.counter("battery.units.retried").inc()
-            journal.emit("unit_retry", attempt=attempts - 1, status=status, **info)
-
-    while pending:
-        broken = False
-        hung = False
-        futures = {}
-        for index in sorted(pending):
-            futures[index] = pool.submit(by_index[index])
-            journal.emit(
-                "unit_start", attempt=pending[index], jobs=jobs, **meta[index]
-            )
-        for index, future in futures.items():
-            waited = time.perf_counter()
-            try:
-                _, values, timings, gen_seconds, worker, extras = future.result(
-                    timeout=timeout
-                )
-            except FuturesTimeout:
-                future.cancel()
-                hung = True
-                charge(
-                    index, "timeout",
-                    f"TimeoutError: unit did not finish within the "
-                    f"{timeout}s per-unit timeout",
-                    timeout or 0.0,
-                )
-            except BrokenExecutor as exc:
-                # A worker died without raising (segfault, OOM-kill,
-                # os._exit): the whole pool is unusable.  Attribution is
-                # heuristic — the unit being waited on is charged — and
-                # every other in-flight unit is re-run free of charge in a
-                # fresh pool.
-                journal.emit("pool_broken", error=repr(exc), **meta[index])
-                charge(
-                    index, "failed",
-                    f"BrokenExecutor: worker process died abruptly "
-                    f"({exc!r}); unit charged heuristically",
-                    time.perf_counter() - waited,
-                )
-                broken = True
-                break
-            except Exception as exc:
-                charge(
-                    index, "failed", _format_exception(exc),
-                    time.perf_counter() - waited,
-                )
-            else:
-                seconds = gen_seconds + sum(timings.values())
-                outcome = _UnitOutcome(
-                    "ok", values=values, timings=timings,
-                    gen_seconds=gen_seconds, seconds=seconds,
-                    worker=worker, attempts=pending[index] + 1, extras=extras,
-                )
-                outcomes[index] = outcome
-                del pending[index]
-                journal.emit(
-                    "unit_finish", **_finish_fields(outcome), **meta[index]
-                )
-        # Only a hung or broken pool is abandoned (without blocking on
-        # it); a healthy pool is kept warm for the next retry round — or,
-        # for a caller-owned pool, for whatever the caller runs next.
-        if broken or hung:
-            pool.rebuild()
-            if on_rebuild is not None:
-                on_rebuild()
-    if owned:
-        pool.shutdown(wait=True)
-    return outcomes
-
-
 def run_battery(
     models,
     n: int,
@@ -835,9 +1002,9 @@ def run_battery(
     journal: JournalLike = None,
     tracer: Optional[Tracer] = None,
     profile_dir: Union[None, str, Path] = None,
-    path_sample_threshold: int = 1500,
-    path_samples: int = 400,
-    min_tail: int = 50,
+    path_sample_threshold: int = SUMMARIZE_DEFAULTS["path_sample_threshold"],
+    path_samples: int = SUMMARIZE_DEFAULTS["path_samples"],
+    min_tail: int = SUMMARIZE_DEFAULTS["min_tail"],
     backend: str = "auto",
     transport: str = "auto",
     mp_context=None,
@@ -881,14 +1048,15 @@ def run_battery(
     (``auto``/``regenerate``/``shared``, env ``REPRO_TRANSPORT``; see
     :mod:`repro.core.transport`).  Under ``shared``, each (model, seed)
     topology is generated in its own journaled unit, published once as a
-    zero-copy snapshot — spooled under the cache directory when one is in
-    play, so later runs attach instead of regenerating — and each pending
-    metric group runs as an independent unit attaching read-only.  Like
-    *backend*, the transport is a pure scheduling choice: summaries are
-    bit-identical and cache cells carry no trace of it.  *mp_context*
-    pins the worker pools' multiprocessing start method
-    (``fork``/``spawn``/``forkserver`` or a context object, env
-    ``REPRO_MP_START``; default: the platform default).
+    zero-copy snapshot — spooled beside the cell store when one is in
+    play (:func:`cell_spool`), so later runs and the service attach
+    instead of regenerating — and each pending metric group runs as an
+    independent unit attaching read-only.  Like *backend*, the transport
+    is a pure scheduling choice: summaries are bit-identical and cache
+    cells carry no trace of it.  *mp_context* pins the worker pools'
+    multiprocessing start method (``fork``/``spawn``/``forkserver`` or a
+    context object, env ``REPRO_MP_START``; default: the platform
+    default).
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -935,341 +1103,129 @@ def run_battery(
         "min_tail": min_tail,
         "backend": backend,
     }
-    obs_base = {"trace": trc.enabled, "profile_dir": profile_dir}
+    obs = {"trace": trc.enabled, "profile_dir": profile_dir}
 
     with _ambient_obs(trc), trc.span(
         "battery", models=[label for label, _ in spec], n=n,
         seeds=seeds, jobs=jobs, run_id=run_id, transport=transport_used,
     ) as battery_span:
-        # Shared transport publishes each generated topology once into a
-        # snapshot spool — persistent under the cache directory when one
-        # is in play (so later runs attach instead of regenerating),
+        # Shared transport publishes each generated topology once into the
+        # spool that goes with the cell store — persistent beside a cache
+        # directory (so later runs attach instead of regenerating),
         # ephemeral tmpfs otherwise.
-        spool: Optional[SnapshotSpool] = None
-        if transport_used == "shared":
-            spool_root = (
-                store.root / "snapshots" if isinstance(store, ResultCache) else None
-            )
-            spool = SnapshotSpool(spool_root)
+        spool = cell_spool(store) if transport_used == "shared" else None
 
-        # One warm pool for the whole run: the generate and measure waves
-        # (and every retry round) reuse the same worker processes, so the
-        # per-process transport attach caches stay hot across waves.
+        # One warm pool for the whole run: both waves (and every retry
+        # round) reuse the same worker processes, so the per-process
+        # transport attach caches stay hot across waves.
         pool = WorkerPool(jobs, mp_ctx) if jobs > 1 else None
-
-        def run_units(task_list, task_meta):
-            if not task_list:
-                return {}
-            if pool is not None:
-                return _run_parallel(
-                    task_list, jobs, timeout, retries, log, task_meta,
-                    mp_context=mp_ctx,
-                    on_rebuild=spool.reap_staging if spool is not None else None,
-                    pool=pool,
-                )
-            return _run_serial(task_list, timeout, retries, log, task_meta)
-
-        def absorb(outcome: _UnitOutcome) -> Dict[str, Any]:
-            extras = outcome.extras or {}
-            if extras.get("metrics"):
-                registry.merge(extras["metrics"])
-            if trc.enabled and extras.get("spans"):
-                trc.adopt(extras["spans"], parent=battery_span)
-            return extras
-
         records: List[UnitRecord] = []
-        tasks: List[Dict[str, Any]] = []
-        meta: Dict[int, Dict[str, Any]] = {}
-        gen_tasks: List[Dict[str, Any]] = []
-        gen_meta: Dict[int, Dict[str, Any]] = {}
-        # One slot per (model, replicate): cached values plus pending cell keys.
-        units: List[Dict[str, Any]] = []
-        for label, generator in spec:
-            identity, params = _identity(generator)
-            # Engine-sensitive generators produce engine-dependent graphs, so
-            # the resolved engine joins their cache cell (and only theirs —
-            # draw-order-preserving generators stay engine-transparent).  The
-            # seed derivation stays on the plain params either way: the same
-            # roster must map to the same seeds under every engine.
-            cache_params = generator.cache_params(n)
-            for rep in range(seeds):
-                unit_seed = derive_seed(
-                    "battery-unit", identity, params, n, base_seed, rep
+
+        def record(plan: CellPlan, group: str, seconds: float, cached=False, **fields):
+            cell = (plan.label, plan.replicate, group, plan.seed, cached, seconds)
+            records.append(UnitRecord(*cell, **fields))
+
+        def run_wave(units: List[Tuple[CellPlan, Dict[str, Any]]]) -> None:
+            """Run (plan, task) units with containment, then take every
+            outcome down the one path that records, counts, adopts and
+            writes."""
+            tasks = [task for _, task in units]
+            if pool is not None:
+                outcomes = pool.run(
+                    tasks, timeout, retries, log,
+                    on_rebuild=spool.reap_staging if spool is not None else None,
                 )
-                unit = {
-                    "label": label,
-                    "params": params,
-                    "replicate": rep,
-                    "seed": unit_seed,
-                    "values": {},
-                    "pending": {},
-                    "task": None,
-                    "gen_task": None,
-                    "gen_key": None,
-                    "handle": None,
-                }
-                for group in group_names:
-                    payload = _cell_payload(
-                        identity, cache_params, n, unit_seed, group, sum_params
+            else:
+                outcomes = _run_serial(tasks, timeout, retries, log)
+            for (plan, task), outcome in zip(units, outcomes):
+                extras = outcome.extras or {}
+                if trc.enabled and extras.get("spans"):
+                    trc.adopt(extras["spans"], parent=battery_span)
+                kind = task["unit"]["kind"]
+                if not settle_unit(plan, outcome, store, spool):
+                    registry.counter("battery.units.failed").inc()
+                    record(
+                        plan, task["unit"].get("group", "unit"), outcome.seconds,
+                        status=outcome.status, error=outcome.error,
                     )
-                    key = canonical_key(payload)
-                    hit = store.get(key, payload)
-                    if hit is not None:
-                        unit["values"][group] = hit
-                        records.append(
-                            UnitRecord(label, rep, group, unit_seed, True, 0.0)
-                        )
-                        registry.counter("battery.cells.cached").inc()
-                        log.emit(
-                            "cache_hit", model=label, replicate=rep,
-                            seed=unit_seed, group=group, key=key,
-                        )
-                    else:
-                        unit["pending"][group] = (key, payload)
-                if unit["pending"] and transport_used == "regenerate":
-                    index = len(tasks)
-                    unit["task"] = index
-                    meta[index] = {
-                        "model": label, "replicate": rep,
-                        "seed": unit_seed, "kind": "full",
-                    }
-                    tasks.append(
-                        {
-                            "index": index,
-                            "kind": "full",
-                            "generator": generator,
-                            "n": n,
-                            "seed": unit_seed,
-                            "groups": tuple(unit["pending"]),
-                            "sum_params": sum_params,
-                            "obs": dict(
-                                obs_base,
-                                model=label,
-                                replicate=rep,
-                                label=f"{label}-rep{rep}",
-                            ),
-                        }
+                    continue
+                registry.counter("battery.units.completed").inc()
+                registry.histogram("battery.unit.seconds").observe(outcome.seconds)
+                if kind == "generate":
+                    registry.counter("battery.generations.computed").inc()
+                if kind != "measure":
+                    rusage = extras.get("rusage") or {}
+                    record(
+                        plan, "generate", outcome.gen_seconds,
+                        max_rss_kb=rusage.get("max_rss_kb"),
+                        cpu_seconds=rusage.get("cpu_seconds"),
                     )
-                elif unit["pending"]:
-                    # Shared transport: the generation is its own cached
-                    # unit keyed on (model identity, params, n, seed) —
-                    # a spool hit (this run or a previous one sharing the
-                    # cache directory) skips it entirely.
-                    gen_payload = generation_payload(
-                        identity, cache_params, n, unit_seed
+                if not task["groups"]:
+                    continue
+                registry.counter("battery.cells.computed").inc(len(task["groups"]))
+                for group in ("giant",) + task["groups"]:
+                    record(plan, group, outcome.timings[group])
+
+        # Plan and probe every (model, replicate).  What misses the cache
+        # needs its topology: a full unit under regenerate; under shared,
+        # the generation is its own cached unit — a spool hit (this run or
+        # a previous one sharing the cache directory) skips it entirely.
+        plans: List[CellPlan] = []
+        first_wave: List[Tuple[CellPlan, Dict[str, Any]]] = []
+        for label, generator in spec:
+            for rep in range(seeds):
+                plan = plan_cells(
+                    generator, n, replicate_seed(generator, n, base_seed, rep),
+                    group_names, sum_params, label=label, replicate=rep,
+                )
+                plans.append(plan)
+                for group in probe_cells(plan, store):
+                    record(plan, group, 0.0, cached=True)
+                    registry.counter("battery.cells.cached").inc()
+                    log.emit(
+                        "cache_hit", model=label, replicate=rep,
+                        seed=plan.seed, group=group, key=plan.cells[group][0],
                     )
-                    gen_key = canonical_key(gen_payload)
-                    unit["gen_key"] = gen_key
-                    handle = spool.probe(gen_key)
-                    if handle is not None:
-                        unit["handle"] = handle
-                        records.append(
-                            UnitRecord(label, rep, "generate", unit_seed, True, 0.0)
-                        )
-                        registry.counter("battery.generations.cached").inc()
-                        log.emit(
-                            "snapshot_hit", model=label, replicate=rep,
-                            seed=unit_seed, key=gen_key,
-                        )
-                    else:
-                        index = len(gen_tasks)
-                        unit["gen_task"] = index
-                        gen_meta[index] = {
-                            "model": label, "replicate": rep,
-                            "seed": unit_seed, "kind": "generate",
-                        }
-                        gen_tasks.append(
-                            {
-                                "index": index,
-                                "kind": "generate",
-                                "generator": generator,
-                                "n": n,
-                                "seed": unit_seed,
-                                "spool_path": str(spool.path_for(gen_key)),
-                                "obs": dict(
-                                    obs_base,
-                                    model=label,
-                                    replicate=rep,
-                                    label=f"{label}-rep{rep}-gen",
-                                ),
-                            }
-                        )
-                units.append(unit)
+                if not plan.pending:
+                    continue
+                if spool is None:
+                    task = unit_task(plan, plan.pending, sum_params, **obs)
+                else:
+                    task = topology_task(plan, spool, **obs)
+                if task is not None:
+                    first_wave.append((plan, task))
+                    continue
+                record(plan, "generate", 0.0, cached=True)
+                registry.counter("battery.generations.cached").inc()
+                log.emit(
+                    "snapshot_hit", model=label, replicate=rep,
+                    seed=plan.seed, key=plan.gen_key,
+                )
 
         try:
-            outcomes = run_units(tasks, meta)
-            for unit in units:
-                if unit["task"] is None:
-                    continue
-                outcome = outcomes[unit["task"]]
-                extras = absorb(outcome)
-                if outcome.status == "ok":
-                    registry.counter("battery.units.completed").inc()
-                    registry.counter("battery.cells.computed").inc(
-                        len(unit["pending"])
-                    )
-                    registry.histogram("battery.unit.seconds").observe(
-                        outcome.seconds
-                    )
-                    rusage = extras.get("rusage") or {}
-                    records.append(
-                        UnitRecord(
-                            unit["label"], unit["replicate"], "generate",
-                            unit["seed"], False, outcome.gen_seconds,
-                            max_rss_kb=rusage.get("max_rss_kb"),
-                            cpu_seconds=rusage.get("cpu_seconds"),
-                        )
-                    )
-                    giant_seconds = (outcome.timings or {}).get("giant")
-                    if giant_seconds is not None:
-                        records.append(
-                            UnitRecord(
-                                unit["label"], unit["replicate"], "giant",
-                                unit["seed"], False, giant_seconds,
-                            )
-                        )
-                    for group, (key, payload) in unit["pending"].items():
-                        unit["values"][group] = outcome.values[group]
-                        store.put(key, outcome.values[group], payload)
-                        records.append(
-                            UnitRecord(
-                                unit["label"], unit["replicate"], group,
-                                unit["seed"], False, outcome.timings[group],
-                            )
-                        )
-                else:
-                    registry.counter("battery.units.failed").inc()
-                    unit["error"] = outcome.error
-                    records.append(
-                        UnitRecord(
-                            unit["label"], unit["replicate"], "unit",
-                            unit["seed"], False, outcome.seconds,
-                            status=outcome.status, error=outcome.error,
-                        )
-                    )
-
-            # Shared transport, wave 1: run the missed generations; each
-            # publishes its topology into the spool and hands back only a
-            # handle.  A failed generation fails its whole replicate (no
-            # graph, nothing to measure).
-            gen_outcomes = run_units(gen_tasks, gen_meta)
-            for unit in units:
-                if unit["gen_task"] is None:
-                    continue
-                outcome = gen_outcomes[unit["gen_task"]]
-                extras = absorb(outcome)
-                handle = extras.get("handle")
-                if outcome.status == "ok" and handle is not None:
-                    spool.adopt(unit["gen_key"], handle)
-                    unit["handle"] = handle
-                    registry.counter("battery.generations.computed").inc()
-                    registry.counter("battery.units.completed").inc()
-                    registry.histogram("battery.unit.seconds").observe(
-                        outcome.seconds
-                    )
-                    rusage = extras.get("rusage") or {}
-                    records.append(
-                        UnitRecord(
-                            unit["label"], unit["replicate"], "generate",
-                            unit["seed"], False, outcome.gen_seconds,
-                            max_rss_kb=rusage.get("max_rss_kb"),
-                            cpu_seconds=rusage.get("cpu_seconds"),
-                        )
-                    )
-                else:
-                    registry.counter("battery.units.failed").inc()
-                    unit["error"] = outcome.error or "generation returned no handle"
-                    records.append(
-                        UnitRecord(
-                            unit["label"], unit["replicate"], "unit",
-                            unit["seed"], False, outcome.seconds,
-                            status=outcome.status if outcome.status != "ok" else "failed",
-                            error=unit["error"],
-                        )
-                    )
-
-            # Shared transport, wave 2: every pending metric group of every
-            # replicate with a published topology becomes its own unit —
-            # retries re-attach (a dict lookup after the first touch),
-            # never regenerate, and a failure costs one group, not the
-            # replicate.
-            measure_tasks: List[Dict[str, Any]] = []
-            measure_meta: Dict[int, Dict[str, Any]] = {}
-            owners: Dict[int, Tuple[Dict[str, Any], str]] = {}
-            for unit in units:
-                if unit["handle"] is None or not unit["pending"]:
-                    continue
-                for group in unit["pending"]:
-                    index = len(measure_tasks)
-                    owners[index] = (unit, group)
-                    measure_meta[index] = {
-                        "model": unit["label"], "replicate": unit["replicate"],
-                        "seed": unit["seed"], "kind": "measure", "group": group,
-                    }
-                    measure_tasks.append(
-                        {
-                            "index": index,
-                            "kind": "measure",
-                            "handle": unit["handle"],
-                            "seed": unit["seed"],
-                            "groups": (group,),
-                            "sum_params": sum_params,
-                            "obs": dict(
-                                obs_base,
-                                model=unit["label"],
-                                replicate=unit["replicate"],
-                                label=(
-                                    f"{unit['label']}-rep{unit['replicate']}-{group}"
-                                ),
-                            ),
-                        }
-                    )
-            measure_outcomes = run_units(measure_tasks, measure_meta)
-            for index, (unit, group) in owners.items():
-                outcome = measure_outcomes[index]
-                absorb(outcome)
-                key, payload = unit["pending"][group]
-                if outcome.status == "ok":
-                    registry.counter("battery.units.completed").inc()
-                    registry.counter("battery.cells.computed").inc()
-                    registry.histogram("battery.unit.seconds").observe(
-                        outcome.seconds
-                    )
-                    unit["values"][group] = outcome.values[group]
-                    store.put(key, outcome.values[group], payload)
-                    records.append(
-                        UnitRecord(
-                            unit["label"], unit["replicate"], group,
-                            unit["seed"], False, outcome.timings[group],
-                        )
-                    )
-                    giant_seconds = (outcome.timings or {}).get("giant")
-                    if giant_seconds is not None:
-                        records.append(
-                            UnitRecord(
-                                unit["label"], unit["replicate"], "giant",
-                                unit["seed"], False, giant_seconds,
-                            )
-                        )
-                else:
-                    registry.counter("battery.units.failed").inc()
-                    if not unit.get("error"):
-                        unit["error"] = outcome.error
-                    records.append(
-                        UnitRecord(
-                            unit["label"], unit["replicate"], group,
-                            unit["seed"], False, outcome.seconds,
-                            status=outcome.status, error=outcome.error,
-                        )
-                    )
+            # Wave 1: the full units, or the shared transport's missed
+            # generations — each publishes its topology into the spool and
+            # hands back only a handle.  A failed generation fails its
+            # whole replicate (no graph, nothing to measure).
+            run_wave(first_wave)
             if spool is not None:
+                # Wave 2: every pending metric group of every replicate
+                # with a published topology becomes its own unit —
+                # retries re-attach (a dict lookup after the first touch),
+                # never regenerate, and a failure costs one group, not the
+                # replicate.
+                run_wave([
+                    (plan, unit_task(plan, (group,), sum_params, **obs))
+                    for plan in plans if plan.handle is not None
+                    for group in plan.pending
+                ])
                 # Refcounted cleanup: each replicate took one reference at
                 # probe/publish time; dropping it lets an ephemeral spool
                 # unlink the snapshot immediately (persistent spools keep
                 # theirs for the next run to attach).
-                for unit in units:
-                    if unit["gen_key"] is not None:
-                        spool.release(unit["gen_key"])
+                for plan in plans:
+                    if plan.pending:
+                        spool.release(plan.gen_key)
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)
@@ -1280,12 +1236,10 @@ def run_battery(
         entries: List[BatteryEntry] = []
         for label, generator in spec:
             _, params = _identity(generator)
-            model_units = [u for u in units if u["label"] == label]
+            model_plans = [plan for plan in plans if plan.label == label]
             summaries: List[Union[TopologySummary, PartialSummary]] = []
-            for unit in model_units:
-                merged: Dict[str, float] = {}
-                for group_values in unit["values"].values():
-                    merged.update(group_values)
+            for plan in model_plans:
+                merged = plan.merged()
                 if set(merged) == all_fields:
                     summaries.append(TopologySummary.from_dict(label, merged))
                 else:
@@ -1296,19 +1250,19 @@ def run_battery(
                     # TopologySummary group set, so a partial summary says
                     # what a full summary would still need — extra groups
                     # (e.g. robustness) appear in ``groups``, never here.
-                    present = tuple(g for g in group_names if g in unit["values"])
-                    missing = tuple(g for g in METRIC_GROUPS if g not in unit["values"])
+                    present = tuple(g for g in group_names if g in plan.values)
+                    missing = tuple(g for g in METRIC_GROUPS if g not in plan.values)
                     summaries.append(
                         PartialSummary(
                             name=label, values=merged, groups=present,
-                            missing=missing, error=unit.get("error"),
+                            missing=missing, error=plan.error,
                         )
                     )
             entries.append(
                 BatteryEntry(
                     model=label,
                     params=params,
-                    seeds=tuple(u["seed"] for u in model_units),
+                    seeds=tuple(plan.seed for plan in model_plans),
                     summaries=tuple(summaries),
                 )
             )
@@ -1331,14 +1285,27 @@ def run_battery(
     return result
 
 
-def _summarize_target(
+class _ReferenceMap(TopologyGenerator):
+    """The frozen reference AS map as a parameterless generator, so its
+    cells plan (and key) like any model's."""
+
+    name = "__reference_as_map__"
+
+    def generate(self, n, seed=None):
+        from ..datasets.asmap import reference_as_map
+
+        return reference_as_map(n)
+
+
+def summarize_target(
     target,
     n: int,
-    store: Union[ResultCache, NullCache],
+    cache: Union[ResultCache, NullCache],
     sum_params: Mapping[str, Any],
 ) -> TopologySummary:
     """Resolve *target* (None → reference map; Graph; TopologySummary) to a
-    summary, caching the reference map's cells like any other unit."""
+    summary.  The reference map takes the cell pipeline inline at seed 0,
+    so its cells cache through the same store as the model cells."""
     if isinstance(target, TopologySummary):
         return target
     if isinstance(target, Graph):
@@ -1348,25 +1315,13 @@ def _summarize_target(
             f"target must be None, a Graph or a TopologySummary, "
             f"not {type(target).__name__}"
         )
-    from ..datasets.asmap import reference_as_map
-
-    values: Dict[str, float] = {}
-    pending: Dict[str, Tuple[str, Dict[str, Any]]] = {}
-    for group in METRIC_GROUPS:
-        payload = _cell_payload("__reference_as_map__", {}, n, 0, group, sum_params)
-        key = canonical_key(payload)
-        hit = store.get(key, payload)
-        if hit is not None:
-            values.update(hit)
-        else:
-            pending[group] = (key, payload)
-    if pending:
-        graph = reference_as_map(n)
-        computed = compute_metric_groups(graph, tuple(pending), seed=0, **sum_params)
-        for group, (key, payload) in pending.items():
-            store.put(key, computed[group], payload)
-            values.update(computed[group])
-    return TopologySummary.from_dict("reference", values)
+    plan = plan_cells(_ReferenceMap(), n, 0, tuple(METRIC_GROUPS), sum_params)
+    probe_cells(plan, cache)
+    if plan.pending:
+        graph = plan.generator.generate(n)
+        computed = compute_metric_groups(graph, plan.pending, seed=0, **sum_params)
+        settle_unit(plan, UnitOutcome("ok", values=computed), cache)
+    return TopologySummary.from_dict("reference", plan.merged())
 
 
 def compare_models(
@@ -1383,9 +1338,9 @@ def compare_models(
     journal: JournalLike = None,
     tracer: Optional[Tracer] = None,
     profile_dir: Union[None, str, Path] = None,
-    path_sample_threshold: int = 1500,
-    path_samples: int = 400,
-    min_tail: int = 50,
+    path_sample_threshold: int = SUMMARIZE_DEFAULTS["path_sample_threshold"],
+    path_samples: int = SUMMARIZE_DEFAULTS["path_samples"],
+    min_tail: int = SUMMARIZE_DEFAULTS["min_tail"],
     backend: str = "auto",
     transport: str = "auto",
     mp_context=None,
@@ -1420,7 +1375,7 @@ def compare_models(
         "compare", models=len(_normalize_models(models)), n=n, seeds=seeds
     ):
         with trc.span("target.summarize", n=n):
-            target_summary = _summarize_target(target, n, store, sum_params)
+            target_summary = summarize_target(target, n, store, sum_params)
         battery = run_battery(
             models,
             n=n,

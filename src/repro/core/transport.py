@@ -616,10 +616,15 @@ class SnapshotSpool:
         """A handle for *key*'s already-published snapshot, or ``None``.
 
         A truncated/corrupt/foreign directory is evicted and counted as a
-        miss — the spool degrades to republication, never to a crash.
+        miss — the spool degrades to republication, never to a crash.  So
+        is a remembered handle whose directory has since been deleted (the
+        spool is safe to delete wholesale at any time): its bookkeeping is
+        dropped and the probe falls through to the missing snapshot.
         """
         path = self.path_for(key)
         registry = get_registry()
+        if key in self._handles and not path.is_dir():
+            del self._handles[key], self._refs[key]
         if key in self._handles:
             self._refs[key] += 1
             registry.counter("transport.snapshot.hits").inc()

@@ -24,9 +24,11 @@ A :class:`ServeDispatcher` owns everything long-lived about the service:
   requests needing the same not-yet-spooled topology trigger one
   generation, not two.
 
-Work reaching the pool is micro-batched: all of a request's pending
-metric groups ride one ``measure`` task against one shared attached
-view, never one task per group.
+Requests run the battery's own cell pipeline (:mod:`repro.core.battery`,
+``plan_cells`` through ``settle_unit``) and containment loop
+(``WorkerPool.run``), micro-batched: all of a request's pending metric
+groups ride one ``measure`` unit against one shared attached view, never
+one unit per group.
 
 Startup calls :meth:`SnapshotSpool.reap_staging`, so staging directories
 orphaned by a killed server process are removed the next time the
@@ -41,28 +43,31 @@ import shutil
 import tempfile
 import threading
 import time
-from concurrent.futures import BrokenExecutor, Future
-from concurrent.futures import TimeoutError as FuturesTimeout
-from dataclasses import dataclass, field
+from concurrent.futures import Future
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.battery import (
+    SUMMARIZE_DEFAULTS,
+    CellPlan,
     WorkerPool,
-    _identity,
-    _summarize_target,
-    cell_payload,
-    generation_payload,
+    cell_spool,
+    plan_cells,
+    probe_cells,
+    replicate_seed,
+    settle_unit,
+    summarize_target,
+    topology_task,
+    unit_task,
 )
 from ..core.cache import ResultCache, canonical_key
 from ..core.compare import compare_summaries
 from ..core.journal import resolve_journal
 from ..core.metrics import ALL_METRIC_GROUPS, METRIC_GROUPS, TopologySummary
 from ..core.registry import make_generator
-from ..core.transport import SnapshotSpool, handle_for_snapshot, resolve_mp_context
+from ..core.transport import handle_for_snapshot, resolve_mp_context
 from ..obs.metrics import get_registry
 from ..obs.tracer import get_tracer
-from ..stats.rng import derive_seed
 from ..store.sqlite import StoreError
 from ..store.store import GraphStore
 from ..store.world import StoredTopologyGenerator
@@ -81,14 +86,6 @@ class ServeBusy(RuntimeError):
 #: Valid world ids: path-safe, no traversal, at most 64 characters.
 WORLD_ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
 
-#: Battery summarize defaults, mirrored so served cells are bit- and
-#: key-identical with ``run_battery`` cells for the same inputs.
-DEFAULT_SUM_PARAMS = {
-    "path_sample_threshold": 1500,
-    "path_samples": 400,
-    "min_tail": 50,
-}
-
 DEFAULT_QUEUE_LIMIT = 64
 
 
@@ -100,21 +97,6 @@ class _Flight:
     def __init__(self) -> None:
         self.future: Future = Future()
         self.waiters = 1
-
-
-@dataclass
-class _SummarizePlan:
-    """A normalized summarize request: resolved generator plus the exact
-    cache-cell keys the battery would use for the same inputs."""
-
-    label: str
-    generator: Any
-    identity: str
-    cache_params: Dict[str, Any]
-    n: int
-    seed: int
-    groups: Tuple[str, ...]
-    cells: Dict[str, Tuple[str, Dict[str, Any]]] = field(default_factory=dict)
 
 
 def _coerce_int(value: Any, name: str) -> int:
@@ -133,17 +115,20 @@ class ServeDispatcher:
         Warm worker-pool size (processes, spawned once at startup).
     root:
         Service state directory — result cache cells under ``cells/``,
-        snapshot spool under ``snapshots/``, named worlds under
-        ``worlds/``.  A private temp directory (removed at shutdown) when
-        omitted.
+        with the snapshot spool beside them under ``cells/snapshots/``
+        (exactly where a battery over ``cells/`` spools), named worlds
+        under ``worlds/``.  A private temp directory (removed at shutdown)
+        when omitted.
     queue_limit:
         Bounded job-queue depth; submits beyond it raise
         :class:`ServeBusy`.
     threads:
         Dispatcher threads draining the queue (default: ``jobs``).
     unit_timeout / retries:
-        Per-task containment, as in the battery runner: a hung or broken
-        pool is rebuilt (reaping spool staging) and the task retried.
+        Per-task containment — the battery's own loop,
+        :meth:`~repro.core.battery.WorkerPool.run`: a failed or timed-out
+        unit is retried, a hung or broken pool is rebuilt (reaping spool
+        staging), and a unit that stays dead fails only its request.
     """
 
     def __init__(
@@ -170,7 +155,7 @@ class ServeDispatcher:
             tempfile.mkdtemp(prefix="repro-serve-") if root is None else root
         )
         self.cache = ResultCache(self.root / "cells")
-        self.spool = SnapshotSpool(self.root / "snapshots")
+        self.spool = cell_spool(self.cache)
         # Satellite of ISSUE 10: a killed server leaves half-published
         # staging dirs behind; reap them at every service start, not only
         # on mid-run pool rebuilds.
@@ -181,7 +166,7 @@ class ServeDispatcher:
         self.engine = engine
         self.unit_timeout = unit_timeout
         self.retries = retries
-        self._sum_params = dict(DEFAULT_SUM_PARAMS, backend=backend)
+        self._sum_params = dict(SUMMARIZE_DEFAULTS, backend=backend)
         self.pool = WorkerPool(jobs, resolve_mp_context(mp_context))
         self.journal = resolve_journal(journal)
         self.run_id = self.journal.begin_run(
@@ -346,12 +331,7 @@ class ServeDispatcher:
                 raise ServeError("compare scores the full battery; omit groups")
             plan = self._summarize_plan(params, groups)
             if op == "generate":
-                gen_key = canonical_key(
-                    generation_payload(
-                        plan.identity, plan.cache_params, plan.n, plan.seed
-                    )
-                )
-                body = {"generation": gen_key}
+                body = {"generation": plan.gen_key}
             else:
                 body = {"cells": sorted(k for k, _ in plan.cells.values())}
             return {
@@ -418,7 +398,7 @@ class ServeDispatcher:
 
     def _summarize_plan(
         self, params: Mapping[str, Any], groups: Optional[Sequence[str]]
-    ) -> _SummarizePlan:
+    ) -> CellPlan:
         model = params.get("model")
         if not model:
             raise ServeError("request requires a model")
@@ -432,34 +412,21 @@ class ServeDispatcher:
             raise ServeError(f"cannot build model {model!r}: {exc}")
         if self.engine != "auto":
             generator.engine = self.engine
-        identity, plain_params = _identity(generator)
         if "replicate" in params:
-            # Battery-compatible addressing: the same derived seed the
-            # battery would use for this replicate, so served cells and
-            # battery cells are literally the same cache entries.
-            seed = derive_seed(
-                "battery-unit", identity, plain_params, n,
+            # Battery-compatible addressing: the battery's own seed for
+            # this replicate, so served cells and battery cells are
+            # literally the same cache entries.
+            seed = replicate_seed(
+                generator, n,
                 _coerce_int(params.get("base_seed", 17), "base_seed"),
                 _coerce_int(params["replicate"], "replicate"),
             )
         else:
             seed = _coerce_int(params.get("seed", 0), "seed")
-        plan = _SummarizePlan(
+        return plan_cells(
+            generator, n, seed, self._groups(groups), self._sum_params,
             label=str(model),
-            generator=generator,
-            identity=identity,
-            cache_params=generator.cache_params(n),
-            n=n,
-            seed=seed,
-            groups=self._groups(groups),
         )
-        for group in plan.groups:
-            payload = cell_payload(
-                plan.identity, plan.cache_params, plan.n, plan.seed, group,
-                self._sum_params,
-            )
-            plan.cells[group] = (canonical_key(payload), payload)
-        return plan
 
     # ------------------------------------------------------------- execution
 
@@ -485,163 +452,99 @@ class ServeDispatcher:
             )
         raise ServeError(f"unknown operation {op!r}")  # pragma: no cover
 
-    def _run_worker_task(self, task: Dict[str, Any]) -> Tuple[
-        Dict[str, Dict[str, float]], Dict[str, float], float, Dict[str, Any]
-    ]:
-        """Run one battery task on the warm pool with containment.
+    def _run(self, plan: CellPlan, task: Dict[str, Any]) -> None:
+        """Run one unit on the warm pool through the battery's containment
+        loop and settle it into *plan*; a unit still dead after its
+        retries fails the request with the worker's message."""
+        (outcome,) = self.pool.run(
+            [task], self.unit_timeout, self.retries, self.journal,
+            on_rebuild=self._on_rebuild,
+        )
+        if not settle_unit(plan, outcome, self.cache, self.spool):
+            message = outcome.error.strip().splitlines()[-1]
+            raise RuntimeError(
+                f"{task['unit']['kind']} unit {outcome.status}: {message}"
+            )
 
-        Worker exceptions propagate (the request fails, the pool lives);
-        a hung or broken pool is rebuilt — reaping spool staging — and the
-        task retried up to ``retries`` times.
-        """
-        registry = get_registry()
-        last_error: Optional[str] = None
-        for attempt in range(self.retries + 1):
-            future = self.pool.submit(task)
-            try:
-                _, values, timings, gen_seconds, _, extras = future.result(
-                    timeout=self.unit_timeout
-                )
-            except FuturesTimeout:
-                future.cancel()
-                last_error = (
-                    f"unit did not finish within the {self.unit_timeout}s timeout"
-                )
-            except BrokenExecutor as exc:
-                last_error = f"worker process died abruptly ({exc!r})"
-            else:
-                if extras.get("metrics"):
-                    registry.merge(extras["metrics"])
-                return values, timings, gen_seconds, extras
-            registry.counter("serve.pool.rebuilds").inc()
-            self.pool.rebuild()
-            self.spool.reap_staging()
-        raise RuntimeError(f"serve unit failed after {self.retries + 1} attempts: {last_error}")
+    def _on_rebuild(self) -> None:
+        get_registry().counter("serve.pool.rebuilds").inc()
+        self.spool.reap_staging()
 
-    def _ensure_handle(self, plan: _SummarizePlan) -> Tuple[Any, bool]:
-        """The plan's topology as a shared handle, generating at most once.
+    def _ensure_handle(self, plan: CellPlan) -> bool:
+        """Set ``plan.handle``, generating the topology at most once.
 
         Concurrent callers needing the same not-yet-spooled topology
         coalesce on the generation key; the loser(s) attach the winner's
-        published snapshot.  Returns (handle, generated-by-this-call).
+        published snapshot.  The leader releases its spool reference at
+        once: the service spool is persistent, so a reference pins only
+        bookkeeping.  Returns whether this call generated.
         """
-        gen_key = canonical_key(
-            generation_payload(plan.identity, plan.cache_params, plan.n, plan.seed)
-        )
         registry = get_registry()
         with self._lock:
-            flight = self._gen_inflight.get(gen_key)
+            flight = self._gen_inflight.get(plan.gen_key)
             if flight is None:
                 flight = Future()
-                self._gen_inflight[gen_key] = flight
+                self._gen_inflight[plan.gen_key] = flight
                 leader = True
             else:
                 leader = False
         if not leader:
             registry.counter("serve.coalesce.generations").inc()
-            handle, _ = flight.result(self.unit_timeout)
-            return handle, False
+            plan.handle = flight.result(self.unit_timeout)
+            return False
         try:
-            handle = self.spool.probe(gen_key)
-            if handle is not None:
+            task = topology_task(plan, self.spool)
+            if task is None:
                 registry.counter("serve.generations.cached").inc()
-                generated = False
             else:
-                task = {
-                    "index": 0,
-                    "kind": "generate",
-                    "generator": plan.generator,
-                    "n": plan.n,
-                    "seed": plan.seed,
-                    "spool_path": str(self.spool.path_for(gen_key)),
-                    "obs": {
-                        "trace": False, "profile_dir": None,
-                        "model": plan.label, "replicate": None,
-                        "label": f"serve-{plan.label}-gen",
-                    },
-                }
-                _, _, _, extras = self._run_worker_task(task)
-                handle = extras.get("handle")
-                if handle is None:
-                    raise RuntimeError("generation returned no handle")
-                self.spool.adopt(gen_key, handle)
+                self._run(plan, task)
                 registry.counter("serve.generations.computed").inc()
                 self.journal.emit(
                     "serve_generation", model=plan.label, n=plan.n,
-                    seed=plan.seed, key=gen_key,
+                    seed=plan.seed, key=plan.gen_key,
                 )
-                generated = True
-            flight.set_result((handle, generated))
-            return handle, generated
+            self.spool.release(plan.gen_key)
+            flight.set_result(plan.handle)
+            return task is not None
         except BaseException as exc:
             flight.set_exception(exc)
             raise
         finally:
             with self._lock:
-                self._gen_inflight.pop(gen_key, None)
+                self._gen_inflight.pop(plan.gen_key, None)
 
-    def _measure(
-        self,
-        plan_label: str,
-        handle: Any,
-        seed: int,
-        pending: Mapping[str, Tuple[str, Dict[str, Any]]],
-    ) -> Dict[str, Dict[str, float]]:
-        """One micro-batched measure task: every pending group of the
-        request against one shared attached view."""
-        task = {
-            "index": 0,
-            "kind": "measure",
-            "handle": handle,
-            "seed": seed,
-            "groups": tuple(pending),
-            "sum_params": self._sum_params,
-            "obs": {
-                "trace": False, "profile_dir": None, "model": plan_label,
-                "replicate": None, "label": f"serve-{plan_label}-measure",
-            },
-        }
-        values, _, _, _ = self._run_worker_task(task)
-        get_registry().counter("serve.cells.computed").inc(len(pending))
-        return values
-
-    def _execute_summarize(self, plan: _SummarizePlan) -> Dict[str, Any]:
+    def _execute_summarize(
+        self, plan: CellPlan, world_store: Optional[GraphStore] = None
+    ) -> Dict[str, Any]:
+        """Probe, then measure every pending group in one unit against the
+        plan's topology — the spool's (generated at most once), or the
+        *world_store*'s own mmap snapshot."""
         registry = get_registry()
-        values: Dict[str, Dict[str, float]] = {}
-        cached: List[str] = []
-        pending: Dict[str, Tuple[str, Dict[str, Any]]] = {}
-        for group in plan.groups:
-            key, payload = plan.cells[group]
-            hit = self.cache.get(key, payload)
-            if hit is not None:
-                values[group] = hit
-                cached.append(group)
-                registry.counter("serve.cells.cached").inc()
-            else:
-                pending[group] = (key, payload)
+        cached = probe_cells(plan, self.cache)
+        registry.counter("serve.cells.cached").inc(len(cached))
         generated = False
-        if pending:
-            handle, generated = self._ensure_handle(plan)
-            computed = self._measure(plan.label, handle, plan.seed, pending)
-            for group, (key, payload) in pending.items():
-                self.cache.put(key, computed[group], payload)
-                values[group] = computed[group]
-        merged: Dict[str, float] = {}
-        for group in plan.groups:
-            merged.update(values[group])
+        if plan.pending:
+            if world_store is not None:
+                world_store.csr()  # ensure the sidecar snapshot exists and is fresh
+                plan.handle = handle_for_snapshot(world_store.snapshot_path)
+            else:
+                generated = self._ensure_handle(plan)
+            self._run(plan, unit_task(plan, plan.pending, self._sum_params))
+            registry.counter("serve.cells.computed").inc(len(plan.pending))
         return {
             "model": plan.label,
             "n": plan.n,
             "seed": plan.seed,
-            "groups": list(plan.groups),
+            "groups": list(plan.cells),
             "cached_groups": cached,
-            "computed_groups": sorted(pending),
+            "computed_groups": sorted(plan.pending),
             "generated": int(generated),
-            "values": merged,
+            "values": plan.merged(),
         }
 
-    def _execute_generate(self, plan: _SummarizePlan) -> Dict[str, Any]:
-        handle, generated = self._ensure_handle(plan)
+    def _execute_generate(self, plan: CellPlan) -> Dict[str, Any]:
+        generated = self._ensure_handle(plan)
+        handle = plan.handle
         return {
             "model": plan.label,
             "n": plan.n,
@@ -653,13 +556,13 @@ class ServeDispatcher:
             "nbytes": handle.nbytes,
         }
 
-    def _execute_compare(self, plan: _SummarizePlan) -> Dict[str, Any]:
+    def _execute_compare(self, plan: CellPlan) -> Dict[str, Any]:
         # The reference-map target caches through the same store as the
-        # model cells (see _summarize_target), so a warm compare is pure
+        # model cells (see summarize_target), so a warm compare is pure
         # cache reads; the model summary runs inline here — never through
         # our own queue — so compare can't starve the dispatcher threads.
         with get_tracer().span("serve.target", n=plan.n):
-            target = _summarize_target(None, plan.n, self.cache, self._sum_params)
+            target = summarize_target(None, plan.n, self.cache, self._sum_params)
         summary_result = self._execute_summarize(plan)
         summary = TopologySummary.from_dict(plan.label, summary_result["values"])
         comparison = compare_summaries(summary, target)
@@ -757,42 +660,13 @@ class ServeDispatcher:
         """
         store = self._open_world(world)
         generator = StoredTopologyGenerator(store.path)
-        identity, params = _identity(generator)
-        n = generator.num_nodes
-        registry = get_registry()
-        values: Dict[str, Dict[str, float]] = {}
-        cached: List[str] = []
-        pending: Dict[str, Tuple[str, Dict[str, Any]]] = {}
-        for group in groups:
-            payload = cell_payload(identity, params, n, seed, group, self._sum_params)
-            key = canonical_key(payload)
-            hit = self.cache.get(key, payload)
-            if hit is not None:
-                values[group] = hit
-                cached.append(group)
-                registry.counter("serve.cells.cached").inc()
-            else:
-                pending[group] = (key, payload)
-        if pending:
-            store.csr()  # ensure the sidecar snapshot exists and is fresh
-            handle = handle_for_snapshot(store.snapshot_path)
-            computed = self._measure(f"world-{world}", handle, seed, pending)
-            for group, (key, payload) in pending.items():
-                self.cache.put(key, computed[group], payload)
-                values[group] = computed[group]
-        merged: Dict[str, float] = {}
-        for group in groups:
-            merged.update(values[group])
-        return {
-            "world": world,
-            "n": n,
-            "seed": seed,
-            "groups": list(groups),
-            "cached_groups": cached,
-            "computed_groups": sorted(pending),
-            "generated": 0,
-            "values": merged,
-        }
+        plan = plan_cells(
+            generator, generator.num_nodes, seed, groups, self._sum_params,
+            label=f"world-{world}",
+        )
+        result = self._execute_summarize(plan, world_store=store)
+        del result["model"]
+        return {"world": world, **result}
 
     # ----------------------------------------------------------------- stats
 

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.core import NullCache, ResultCache, canonical_key, run_battery
-from repro.core.battery import _cell_payload
+from repro.core.battery import cell_payload
 
 SUM_PARAMS = {"path_sample_threshold": 1500, "path_samples": 400, "min_tail": 50}
 
@@ -21,7 +21,7 @@ def _payload(**overrides):
         sum_params=SUM_PARAMS,
     )
     base.update(overrides)
-    return _cell_payload(
+    return cell_payload(
         base["identity"], base["params"], base["n"], base["seed"],
         base["group"], base["sum_params"],
     )

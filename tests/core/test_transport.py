@@ -13,6 +13,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import shutil
 import string
 
 import hypothesis.strategies as st
@@ -315,6 +316,15 @@ class TestSnapshotSpool:
         assert not os.path.isdir(handle.location)
         spool.cleanup()
         assert not spool.root.exists()
+
+    def test_remembered_handle_of_deleted_snapshot_is_a_miss(self, tmp_path):
+        spool = SnapshotSpool(tmp_path / "spool")
+        g = BarabasiAlbertGenerator(m=2).generate(60, seed=8)
+        spool.publish(g, "9f9f")  # remembered, one reference held
+        shutil.rmtree(spool.root)
+        assert spool.probe("9f9f") is None
+        republished = spool.publish(g, "9f9f")
+        assert spool.probe("9f9f").fingerprint == republished.fingerprint
 
     def test_persistent_spool_keeps_snapshots(self, tmp_path):
         spool = SnapshotSpool(tmp_path / "spool")
