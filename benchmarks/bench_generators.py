@@ -1,16 +1,14 @@
 """Generation-engine shoot-out: python vs vector growth kernels.
 
 One run per (model, size, engine) cell over every generator family that
-implements the engine contract, reported as wall-clock and nodes/sec.
-The table is written to ``output/generators.txt``; the acceptance floor —
-median speedup >= 2x across the registry at the full paper scale
-(n = 11000) — lives in ``perf_floors.json`` (``generators-median-speedup``)
-and is enforced against the published ``median_speedup`` value by the
-perf fixture.
-
-Draw-order-preserving families additionally get an oracle check here
-(identical fingerprints from both engines), so a timing run can never
-silently report a speedup for a divergent kernel.
+still has two engines — the engine-sensitive ones, whose vector kernels
+build different (distributionally equivalent) graphs — reported as
+wall-clock and nodes/sec.  The draw-order-preserving families have a
+single kernel, so there is nothing to race.  The table is written to
+``output/generators.txt``; the acceptance floor — median speedup >= 2x
+across these families at the full paper scale (n = 11000) — lives in
+``perf_floors.json`` (``generators-median-speedup``) and is enforced
+against the published ``median_speedup`` value by the perf fixture.
 """
 
 import statistics
@@ -23,14 +21,9 @@ from repro.generators import (
     AlbertBarabasiGenerator,
     BarabasiAlbertGenerator,
     BianconiBarabasiGenerator,
-    BriteGenerator,
     GlpGenerator,
-    InetGenerator,
     PfpGenerator,
-    PlrgGenerator,
     SerranoGenerator,
-    TransitStubGenerator,
-    WaxmanGenerator,
 )
 
 SIZES = (1000, 5000, 11000)
@@ -40,14 +33,9 @@ FAMILIES = (
     ("albert-barabasi", lambda e: AlbertBarabasiGenerator(engine=e)),
     ("barabasi-albert", lambda e: BarabasiAlbertGenerator(m=2, engine=e)),
     ("bianconi-barabasi", lambda e: BianconiBarabasiGenerator(m=2, engine=e)),
-    ("brite", lambda e: BriteGenerator(engine=e)),
     ("glp", lambda e: GlpGenerator(engine=e)),
-    ("inet", lambda e: InetGenerator(engine=e)),
     ("pfp", lambda e: PfpGenerator(engine=e)),
-    ("plrg", lambda e: PlrgGenerator(engine=e)),
     ("serrano", lambda e: SerranoGenerator(engine=e)),
-    ("transit-stub", lambda e: TransitStubGenerator(engine=e)),
-    ("waxman", lambda e: WaxmanGenerator(engine=e)),
 )
 
 
@@ -56,7 +44,7 @@ def _timed_generate(make, engine, n, seed):
     start = time.perf_counter()
     graph = generator.generate(n, seed=seed)
     elapsed = time.perf_counter() - start
-    return graph, elapsed, generator
+    return graph, elapsed
 
 
 def test_generator_engine_speedups(perf, record_text):
@@ -65,18 +53,10 @@ def test_generator_engine_speedups(perf, record_text):
     full_scale_speedups = {}
     for name, make in FAMILIES:
         for n in SIZES:
-            python_graph, python_s, _ = _timed_generate(make, "python", n, seed=1)
-            vector_graph, vector_s, generator = _timed_generate(
-                make, "vector", n, seed=1
-            )
-            # transit-stub rounds n down to a whole hierarchy; all other
-            # families hit n exactly — and the engines must always agree.
+            python_graph, python_s = _timed_generate(make, "python", n, seed=1)
+            vector_graph, vector_s = _timed_generate(make, "vector", n, seed=1)
             assert python_graph.num_nodes == vector_graph.num_nodes
             assert python_graph.num_nodes >= 0.9 * n
-            if not generator.engine_sensitive:
-                assert (
-                    python_graph.fingerprint() == vector_graph.fingerprint()
-                ), name
             speedup = python_s / vector_s
             rows.append(
                 [

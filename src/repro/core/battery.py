@@ -798,6 +798,13 @@ def _run_serial(
     return outcomes
 
 
+def _worker_checkin() -> int:
+    # Hold the worker for a moment, so the other probes of a prewarm
+    # round go to other idle workers instead of queueing behind this one.
+    time.sleep(0.005)
+    return os.getpid()
+
+
 def _worker_ignore_sigint() -> None:
     # Pool workers share the terminal's process group, so a Ctrl-C aimed
     # at the battery CLI or `serve run` would also interrupt every worker
@@ -820,6 +827,9 @@ class WorkerPool:
       through it and :class:`repro.serve.ServeDispatcher` each unit.
     * :meth:`submit` hands one task dict to a worker and returns its
       future.
+    * :meth:`prewarm` builds the executor and blocks until every worker
+      process is up; the first submit after a build or :meth:`rebuild`
+      runs it, so no unit's clock covers worker start-up.
     * :meth:`rebuild` abandons a broken or hung pool without waiting for
       it; the next submit builds a fresh one.
     * :meth:`shutdown` releases the workers (idempotent).
@@ -834,12 +844,27 @@ class WorkerPool:
         self.jobs = jobs
         self.mp_context = mp_context
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self.rebuilds = 0
 
     @property
     def executor(self) -> ProcessPoolExecutor:
-        """The live executor, built lazily on first use (thread-safe)."""
+        """The live executor, built and prewarmed on first use
+        (thread-safe)."""
+        with self._lock:
+            if self._executor is None:
+                self.prewarm()
+            return self._executor
+
+    def prewarm(self) -> int:
+        """Build the executor if needed, then block until every worker
+        process is up; returns how many are.
+
+        A worker's start-up (under ``spawn``: an interpreter start plus
+        the ``repro`` import) would otherwise run inside the first units'
+        per-unit timeout.  Rounds of pid probes run until every worker
+        has answered one.
+        """
         with self._lock:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
@@ -847,7 +872,14 @@ class WorkerPool:
                     mp_context=self.mp_context,
                     initializer=_worker_ignore_sigint,
                 )
-            return self._executor
+            seen: set = set()
+            while len(seen) < self.jobs:
+                probes = [
+                    self._executor.submit(_worker_checkin)
+                    for _ in range(self.jobs)
+                ]
+                seen.update(probe.result() for probe in probes)
+            return len(seen)
 
     def submit(self, task: Dict[str, Any]):
         """Submit one battery task dict; returns its future."""

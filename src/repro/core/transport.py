@@ -10,11 +10,10 @@ topology from *measuring* it:
 * :func:`publish_graph` writes a generated (or store-loaded) graph once —
   as a fingerprint-stamped mmap CSR snapshot (the PR 7 on-disk format,
   staged to a spool directory that defaults to ``/dev/shm`` tmpfs when
-  available) or as ``multiprocessing.shared_memory`` segments — and
-  returns a small, picklable :class:`SharedGraphHandle`;
+  available) — and returns a small, picklable :class:`SharedGraphHandle`;
 * :func:`attach_graph` reopens a handle read-only in any process.  The
-  arrays are memory-mapped (or shm-backed) — nothing is pickled, nothing
-  is regenerated, and the OS shares the physical pages between every
+  arrays are memory-mapped — nothing is pickled, nothing is
+  regenerated, and the OS shares the physical pages between every
   attached worker.  A per-process attach cache keyed by the handle's
   fingerprint makes repeated attaches (one worker measuring many metric
   groups of the same topology) cost a dict lookup;
@@ -44,7 +43,6 @@ pools (and the transport riding on them) behave identically under
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import shutil
@@ -53,8 +51,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
-
-import numpy as np
 
 from ..graph.csr import CSRView
 from ..graph.graph import Graph
@@ -72,7 +68,6 @@ __all__ = [
     "resolve_transport",
     "resolve_mp_context",
     "clear_attach_cache",
-    "set_attach_cache_limit",
     "TRANSPORTS",
     "AUTO_SHARED_NODES",
     "AUTO_SHARED_GROUPS",
@@ -173,14 +168,12 @@ def resolve_mp_context(context=None):
 class SharedGraphHandle:
     """A picklable claim ticket for one published topology.
 
-    The handle is what travels to workers instead of the graph: a method
-    tag, a location (snapshot directory for ``spool``, segment-name
-    prefix for ``shm``), and enough identity — content fingerprint,
-    name, counts, shared byte size — to key per-process attach caches
-    and battery telemetry without touching the arrays.
+    The handle is what travels to workers instead of the graph: the
+    snapshot directory, and enough identity — content fingerprint, name,
+    counts, shared byte size — to key per-process attach caches and
+    battery telemetry without touching the arrays.
     """
 
-    method: str  # "spool" | "shm"
     location: str
     fingerprint: int
     name: str = ""
@@ -188,177 +181,15 @@ class SharedGraphHandle:
     num_edges: int = 0
     nbytes: int = 0
 
-    def attach(self) -> Graph:
-        """Materialize (or fetch from this process's attach cache) the
-        published graph; see :func:`attach_graph`."""
-        return attach_graph(self)
-
-    def attach_view(self) -> CSRView:
-        """The raw shared :class:`CSRView`; see :func:`attach_view`."""
-        return attach_view(self)
-
-
-# Segment names inside one shm publication, in publish order.
-_SHM_PARTS = ("meta", "indptr", "indices", "weights", "nodes")
-
-
-def _shm_name(location: str, part: str) -> str:
-    return f"{location}-{part}"
-
-
-def _open_shm(name: str, create: bool = False, size: int = 0):
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=name, create=create, size=size)
-    if not create:
-        # Python < 3.13 registers *attached* segments with the process's
-        # resource tracker, which then unlinks them when this process
-        # exits — yanking the segment out from under every other attached
-        # process.  Only the publisher may own the lifetime.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker API drift
-            pass
-    return segment
-
-
-def _publish_shm(graph_or_view, location: str, name: str, fingerprint: int):
-    """Write a view's arrays into shared-memory segments under *location*."""
-    view = (
-        graph_or_view if isinstance(graph_or_view, CSRView)
-        else graph_or_view.csr()
-    )
-    nodes = view.nodes
-    if isinstance(nodes, range) or all(
-        isinstance(node, int) and node == i for i, node in enumerate(nodes)
-    ):
-        node_blob = b""
-        node_mode = "range"
-    else:
-        node_blob = json.dumps(list(nodes)).encode("utf-8")
-        node_mode = "json"
-    arrays = {
-        "indptr": np.ascontiguousarray(view.indptr, dtype=np.int64),
-        "indices": np.ascontiguousarray(view.indices, dtype=np.int64),
-        "weights": np.ascontiguousarray(view.weights, dtype=np.float64),
-    }
-    meta = {
-        "num_nodes": view.num_nodes,
-        "num_edges": view.num_edges,
-        "name": name,
-        "fingerprint": fingerprint,
-        "nodes": node_mode,
-        "lengths": {key: len(arr) for key, arr in arrays.items()},
-        "node_bytes": len(node_blob),
-    }
-    meta_blob = json.dumps(meta).encode("utf-8")
-    segments = []
-    total = 0
-    try:
-        for part, blob in (("meta", meta_blob), ("nodes", node_blob)):
-            if part == "nodes" and not node_blob:
-                continue
-            segment = _open_shm(
-                _shm_name(location, part), create=True, size=max(1, len(blob))
-            )
-            segment.buf[: len(blob)] = blob
-            segments.append(segment)
-            total += len(blob)
-        for part, arr in arrays.items():
-            segment = _open_shm(
-                _shm_name(location, part), create=True, size=max(1, arr.nbytes)
-            )
-            np.frombuffer(segment.buf, dtype=arr.dtype, count=len(arr))[:] = arr
-            segments.append(segment)
-            total += arr.nbytes
-    except BaseException:
-        for segment in segments:
-            try:
-                segment.close()
-                segment.unlink()
-            except OSError:  # pragma: no cover - cleanup best effort
-                pass
-        raise
-    for segment in segments:
-        segment.close()
-    return total
-
-
-def _quiet_close(segment) -> None:
-    """Close an attach-side shm segment without tearing pages out from
-    under live arrays.
-
-    Arrays made with ``np.frombuffer(segment.buf, ...)`` export the
-    mapped buffer, so ``close()`` raises ``BufferError`` while any
-    caller still holds one.  In that case the segment object is detached
-    instead: the memoryview/mmap chain stays alive exactly as long as
-    the arrays do, and the last array's release unmaps the pages — no
-    noisy destructor retries at interpreter shutdown.
-    """
-    try:
-        segment.close()
-    except BufferError:
-        segment._buf = None
-        segment._mmap = None
-
-
-def _attach_shm_view(location: str) -> CSRView:
-    """Reopen an shm publication as a read-only :class:`CSRView`.
-
-    The opened segments are parked in the process-wide attach cache entry
-    (closing them would invalidate the arrays), so repeated attaches of
-    one publication reuse both the mapping and the view.
-    """
-    meta_seg = _open_shm(_shm_name(location, "meta"))
-    meta = json.loads(bytes(meta_seg.buf).split(b"\x00", 1)[0].decode("utf-8"))
-    segments = [meta_seg]
-    arrays = {}
-    for part, dtype in (
-        ("indptr", np.int64), ("indices", np.int64), ("weights", np.float64)
-    ):
-        segment = _open_shm(_shm_name(location, part))
-        segments.append(segment)
-        count = meta["lengths"][part]
-        array = np.frombuffer(segment.buf, dtype=dtype, count=count)
-        array.setflags(write=False)
-        arrays[part] = array
-    n = int(meta["num_nodes"])
-    if meta["nodes"] == "range":
-        nodes = range(n)
-    else:
-        segment = _open_shm(_shm_name(location, "nodes"))
-        segments.append(segment)
-        blob = bytes(segment.buf[: meta["node_bytes"]])
-        nodes = json.loads(blob.decode("utf-8"))
-    view = CSRView(arrays["indptr"], arrays["indices"], arrays["weights"], nodes)
-    return view, meta, segments
-
 
 def unlink_shared(handle: SharedGraphHandle) -> None:
     """Release a publication's backing storage (publisher-side).
 
-    For ``spool`` handles the snapshot directory is removed; for ``shm``
-    handles every segment is unlinked.  Attached processes that already
+    The snapshot directory is removed.  Attached processes that already
     hold mappings keep them (POSIX unlink semantics); new attaches fail.
     """
     _evict_attached(handle)
-    if handle.method == "spool":
-        shutil.rmtree(handle.location, ignore_errors=True)
-        return
-    from multiprocessing import shared_memory
-
-    for part in _SHM_PARTS:
-        try:
-            segment = shared_memory.SharedMemory(name=_shm_name(handle.location, part))
-        except FileNotFoundError:
-            continue
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - concurrent unlink
-            pass
+    shutil.rmtree(handle.location, ignore_errors=True)
 
 
 # --------------------------------------------------------------------------
@@ -369,45 +200,28 @@ def publish_graph(
     graph: Graph,
     path: Optional[PathLike] = None,
     name: Optional[str] = None,
-    method: str = "spool",
 ) -> SharedGraphHandle:
     """Publish *graph* once for any number of read-only attachers.
 
-    ``method="spool"`` (the default, and the only method battery workers
-    use) stages a fingerprint-stamped mmap CSR snapshot at *path* (a
-    fresh temp directory when omitted); ``method="shm"`` writes
-    ``multiprocessing.shared_memory`` segments named after *path* (a
-    plain token, auto-derived when omitted).  Returns the picklable
+    Stages a fingerprint-stamped mmap CSR snapshot at *path* (a fresh
+    temp directory when omitted) and returns the picklable
     :class:`SharedGraphHandle` that :func:`attach_graph` accepts in any
     process.
     """
-    if method not in ("spool", "shm"):
-        raise ValueError(f"unknown transport method {method!r}")
     label = name if name is not None else graph.name
     fingerprint = graph.fingerprint()
     registry = get_registry()
-    with get_tracer().span(
-        "transport.publish", method=method, n=graph.num_nodes
-    ) as span:
-        if method == "spool":
-            if path is None:
-                path = Path(tempfile.mkdtemp(prefix="repro-transport-")) / "graph"
-            path = Path(path)
-            save_csr_snapshot(path, graph.csr(), name=label, fingerprint=fingerprint)
-            nbytes = sum(f.stat().st_size for f in path.iterdir() if f.is_file())
-            location = str(path)
-        else:
-            location = (
-                str(path) if path is not None
-                else f"repro-{os.getpid():x}-{fingerprint:x}"
-            )
-            nbytes = _publish_shm(graph, location, label, fingerprint)
+    with get_tracer().span("transport.publish", n=graph.num_nodes) as span:
+        if path is None:
+            path = Path(tempfile.mkdtemp(prefix="repro-transport-")) / "graph"
+        path = Path(path)
+        save_csr_snapshot(path, graph.csr(), name=label, fingerprint=fingerprint)
+        nbytes = sum(f.stat().st_size for f in path.iterdir() if f.is_file())
         span.set(bytes=nbytes, fingerprint=fingerprint)
     registry.counter("transport.published").inc()
     registry.counter("transport.bytes_shared").inc(nbytes)
     return SharedGraphHandle(
-        method=method,
-        location=location,
+        location=str(path),
         fingerprint=fingerprint,
         name=label,
         num_nodes=graph.num_nodes,
@@ -421,7 +235,6 @@ def handle_for_snapshot(path: PathLike) -> SharedGraphHandle:
     :class:`~repro.store.store.GraphStore`'s) as an attachable handle."""
     meta = snapshot_info(path)
     return SharedGraphHandle(
-        method="spool",
         location=str(Path(path)),
         fingerprint=meta.get("fingerprint") or 0,
         name=meta.get("name", ""),
@@ -462,71 +275,41 @@ def materialize_view(
     return graph
 
 
-#: Per-process attach cache: (method, location, fingerprint) → cached
-#: attachment.  Bounded — a worker cycling through many topologies holds
-#: at most this many materialized graphs.
+#: Per-process attach cache: (location, fingerprint) → cached attachment.
+#: Bounded — a worker cycling through many topologies holds at most this
+#: many materialized graphs.
 _ATTACH_CACHE_SIZE = 4
-_attach_cache: "OrderedDict[Tuple[str, str, int], Dict[str, Any]]" = OrderedDict()
+_attach_cache: "OrderedDict[Tuple[str, int], Dict[str, Any]]" = OrderedDict()
 
 
 def _attach_entry(handle: SharedGraphHandle) -> Dict[str, Any]:
-    key = (handle.method, handle.location, handle.fingerprint)
+    key = (handle.location, handle.fingerprint)
     entry = _attach_cache.get(key)
     registry = get_registry()
     if entry is not None:
         _attach_cache.move_to_end(key)
         registry.counter("transport.attach.cached").inc()
         return entry
-    with get_tracer().span(
-        "transport.attach", method=handle.method, n=handle.num_nodes
-    ) as span:
-        if handle.method == "spool":
-            view = load_csr_snapshot(handle.location)
-            segments: list = []
-        else:
-            view, _, segments = _attach_shm_view(handle.location)
+    with get_tracer().span("transport.attach", n=handle.num_nodes) as span:
+        view = load_csr_snapshot(handle.location)
         span.set(bytes=handle.nbytes, fingerprint=handle.fingerprint)
     registry.counter("transport.attach.opened").inc()
     entry = {
         "view": view,
         "graph": None,
-        "segments": segments,
         "name": handle.name,
         "fingerprint": handle.fingerprint,
     }
     _attach_cache[key] = entry
     while len(_attach_cache) > _ATTACH_CACHE_SIZE:
-        _, evicted = _attach_cache.popitem(last=False)
+        _attach_cache.popitem(last=False)
         registry.counter("transport.attach.evicted").inc()
-        for segment in evicted["segments"]:
-            _quiet_close(segment)
     return entry
-
-
-def set_attach_cache_limit(size: int) -> int:
-    """Set the per-process attach-cache LRU bound; returns the old bound.
-
-    A long-lived serving worker cycling through more hot topologies than
-    the default bound (4) can raise it to keep its working set attached;
-    tests shrink it to exercise eviction.  Shrinking evicts the excess
-    oldest entries immediately (closing their shm segments — safe even
-    with views still in flight, see :func:`_quiet_close`).
-    """
-    global _ATTACH_CACHE_SIZE
-    if size < 1:
-        raise ValueError("attach cache limit must be >= 1")
-    previous, _ATTACH_CACHE_SIZE = _ATTACH_CACHE_SIZE, size
-    while len(_attach_cache) > _ATTACH_CACHE_SIZE:
-        _, evicted = _attach_cache.popitem(last=False)
-        get_registry().counter("transport.attach.evicted").inc()
-        for segment in evicted["segments"]:
-            _quiet_close(segment)
-    return previous
 
 
 def attach_view(handle: SharedGraphHandle) -> CSRView:
     """Attach to a publication and return its shared, read-only
-    :class:`CSRView` (memory-mapped or shm-backed; nothing is copied)."""
+    :class:`CSRView` (memory-mapped; nothing is copied)."""
     return _attach_entry(handle)["view"]
 
 
@@ -548,19 +331,11 @@ def attach_graph(handle: SharedGraphHandle) -> Graph:
 
 
 def _evict_attached(handle: SharedGraphHandle) -> None:
-    entry = _attach_cache.pop(
-        (handle.method, handle.location, handle.fingerprint), None
-    )
-    if entry:
-        for segment in entry["segments"]:
-            _quiet_close(segment)
+    _attach_cache.pop((handle.location, handle.fingerprint), None)
 
 
 def clear_attach_cache() -> None:
     """Drop every cached attachment in this process (tests, teardown)."""
-    for entry in _attach_cache.values():
-        for segment in entry["segments"]:
-            _quiet_close(segment)
     _attach_cache.clear()
 
 

@@ -57,8 +57,9 @@ class TopologyGenerator(abc.ABC):
     #: order (it aggregates draws), so the two engines produce different —
     #: distributionally equivalent — graphs for the same seed.  The
     #: resolved engine then joins the generator's battery cache identity
-    #: (see :meth:`cache_params`); draw-order-preserving generators keep
-    #: engine out of the key because both engines build the same graph.
+    #: (see :meth:`cache_params`).  Draw-order-preserving generators have
+    #: a single growth kernel, so the engine selects nothing and stays
+    #: out of the key.
     engine_sensitive: bool = False
 
     @property

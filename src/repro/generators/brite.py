@@ -20,10 +20,8 @@ import math
 import numpy as np
 
 from ..geometry.fractal import FractalBoxSet
-from ..geometry.plane import Point
 from ..graph.graph import Graph
 from ..stats.rng import SeedLike, make_rng
-from ..stats.sampling import weighted_choice
 from .base import TopologyGenerator, _validate_size
 
 __all__ = ["BriteGenerator"]
@@ -36,12 +34,6 @@ class BriteGenerator(TopologyGenerator):
     to the plane diagonal); *fractal_dimension* < 2 places nodes on a
     clustered fractal support (routers cluster geographically), 2.0 means
     uniform placement.
-
-    *engine* selects the growth kernel (see :mod:`repro.generators.engine`);
-    the vector path evaluates each arrival's degree x distance-kernel
-    weights as one array expression and replays :func:`weighted_choice` as
-    a ``searchsorted`` over the cumulative weights, consuming the same
-    seeded uniforms — same seed, same graph.
     """
 
     name = "brite"
@@ -52,7 +44,6 @@ class BriteGenerator(TopologyGenerator):
         alpha: float = 0.25,
         geometry: bool = True,
         fractal_dimension: float = 2.0,
-        engine: str = "auto",
     ):
         if m < 1:
             raise ValueError("m must be >= 1")
@@ -64,13 +55,11 @@ class BriteGenerator(TopologyGenerator):
         self.alpha = alpha
         self.geometry = geometry
         self.fractal_dimension = fractal_dimension
-        self.engine = engine
 
     def generate(self, n: int, seed: SeedLike = None) -> Graph:
         """Grow a BRITE-style network to exactly *n* nodes."""
         seed_size = max(self.m, 3)
         _validate_size(n, minimum=seed_size + 1)
-        engine = self.resolve_engine(n)
         rng = make_rng(seed)
         support = FractalBoxSet(
             dimension=self.fractal_dimension, levels=8, seed=rng
@@ -86,46 +75,21 @@ class BriteGenerator(TopologyGenerator):
         for i in range(seed_size):
             degrees[i] = graph.degree(i)
 
-        with self.trace_phase("growth", n=n, engine=engine):
-            if engine == "vector":
-                self._grow_vector(graph, degrees, positions, scale, seed_size, n, rng)
-            else:
-                self._grow_python(graph, degrees, positions, scale, seed_size, n, rng)
+        with self.trace_phase("growth", n=n):
+            self._grow(graph, degrees, positions, scale, seed_size, n, rng)
             self.count_steps(n - seed_size)
         return graph
 
-    def _grow_python(
+    def _grow(
         self, graph, degrees, positions, scale, seed_size, n, rng
     ) -> None:
-        """Reference loop: per-candidate weights, linear-scan draws."""
-        for new in range(seed_size, n):
-            weights = []
-            for candidate in range(new):
-                w = float(degrees[candidate])
-                if self.geometry:
-                    d = self._distance(positions[new], positions[candidate])
-                    w *= math.exp(-d / scale)
-                weights.append(w)
-            count = min(self.m, new)
-            chosen: set = set()
-            guard = 0
-            while len(chosen) < count and guard < 50 * count:
-                guard += 1
-                chosen.add(weighted_choice(weights, rng))
-            for target in chosen:
-                graph.add_edge(new, target)
-                degrees[target] += 1
-            degrees[new] = graph.degree(new)
+        """One weight vector + cumsum per arrival.
 
-    def _grow_vector(
-        self, graph, degrees, positions, scale, seed_size, n, rng
-    ) -> None:
-        """Array path: one weight vector + cumsum per arrival.
-
-        Each draw spends one ``rng.random()`` exactly like the linear scan
-        (``np.cumsum`` accumulates left-to-right like the running sum, and
+        Each draw spends one ``rng.random()`` exactly like a linear-scan
+        :func:`~repro.stats.sampling.weighted_choice` (``np.cumsum``
+        accumulates left-to-right like the running sum, and
         ``searchsorted(..., side="right")`` finds the same first crossing),
-        so the draw sequence — and the resulting graph — is identical.
+        so the draw sequence is the scan's.
         """
         deg = np.zeros(n, dtype=np.float64)
         deg[:seed_size] = degrees[:seed_size]
@@ -155,9 +119,3 @@ class BriteGenerator(TopologyGenerator):
                 deg[target] += 1
             deg[new] = len(chosen)
         graph.add_edges(edges)
-        for node, value in enumerate(deg[:n].astype(np.int64).tolist()):
-            degrees[node] = value
-
-    @staticmethod
-    def _distance(a: Point, b: Point) -> float:
-        return math.hypot(a.x - b.x, a.y - b.y)

@@ -1,28 +1,30 @@
 """Engine selection for the generator layer.
 
 Mirrors the metric kernels' ``backend=`` contract (:mod:`repro.graph.csr`)
-one layer up: every vectorizable generator takes an ``engine`` argument —
+one layer up: every engine-sensitive generator takes an ``engine``
+argument —
 
 * ``"python"`` — the original scalar growth loop, the reference
   implementation whose draw sequence is the seed contract;
 * ``"vector"`` — batch growth kernels: attachment targets drawn in blocks
   from precomputed kernel arrays (cumulative-weight ``searchsorted``,
-  endpoint pools), edge probabilities evaluated over pairwise-distance
-  blocks, and edges committed through :meth:`repro.graph.graph.Graph.
-  add_edges` bulk inserts;
+  endpoint pools, rejection sampling), and edges committed through
+  :meth:`repro.graph.graph.Graph.add_edges` bulk inserts;
 * ``"auto"`` — consult the ``REPRO_ENGINE`` environment variable, then
   pick ``vector`` at or above :data:`AUTO_VECTOR_THRESHOLD` nodes (batch
   setup costs more than it saves on small graphs).
 
-Determinism contract: generators whose vector kernels replay the python
-engine's draw order bit-identically (``engine_sensitive = False``) produce
-the *same graph* for the same seed on either engine, asserted by
-fingerprint tests.  Generators whose vector kernels aggregate draws
+Only generators whose two kernels build *different* graphs keep both
 (``engine_sensitive = True`` — Serrano's batched pair matching, the
-preference models' batch rejection sampling) produce *distributionally
-equivalent* graphs, gated by KS/band tests, and the resolved engine joins
-their battery cache key so cells computed by different engines never
-collide.
+preference models' batch rejection sampling): their graphs are
+*distributionally equivalent*, gated by KS/band tests, and the resolved
+engine joins their battery cache key so cells computed by different
+engines never collide.  Draw-order-preserving generators
+(``engine_sensitive = False`` — waxman, plrg, transit-stub, inet, brite)
+have one growth kernel each: a second kernel replaying the same draws
+could only build the same graph.  Every generator still exposes
+``engine`` and ``resolve_engine(n)``; on these five the resolved engine
+selects nothing, and golden fingerprint tests pin their graphs.
 """
 
 from __future__ import annotations

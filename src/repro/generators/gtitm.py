@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from ..graph.graph import Graph
 from ..stats.rng import SeedLike, make_rng
 from .base import GenerationError, TopologyGenerator, _validate_size
@@ -33,13 +31,7 @@ __all__ = ["TransitStubGenerator"]
 
 
 class TransitStubGenerator(TopologyGenerator):
-    """Three-level transit–stub topology.
-
-    *engine* selects the cluster-wiring kernel (see
-    :mod:`repro.generators.engine`); the vector path batches each ER
-    cluster's coin flips against one uniform block and bulk-inserts the
-    hits, consuming the seeded stream identically — same seed, same graph.
-    """
+    """Three-level transit–stub topology."""
 
     name = "transit-stub"
 
@@ -52,7 +44,6 @@ class TransitStubGenerator(TopologyGenerator):
         stub_edge_prob: float = 0.4,
         extra_transit_links: int = 3,
         extra_stub_links_fraction: float = 0.02,
-        engine: str = "auto",
     ):
         if transit_domains < 1 or transit_size < 1 or stubs_per_transit < 0:
             raise ValueError("domain counts must be positive")
@@ -65,7 +56,6 @@ class TransitStubGenerator(TopologyGenerator):
         self.stub_edge_prob = stub_edge_prob
         self.extra_transit_links = extra_transit_links
         self.extra_stub_links_fraction = extra_stub_links_fraction
-        self.engine = engine
 
     def _stub_size_for(self, n: int) -> int:
         """Stub size that brings the node total closest to *n*."""
@@ -86,34 +76,15 @@ class TransitStubGenerator(TopologyGenerator):
 
     @staticmethod
     def _er_cluster(
-        graph: Graph, members: List[int], prob: float, rng, vector: bool = False
+        graph: Graph, members: List[int], prob: float, rng
     ) -> None:
         """Wire *members* as an ER graph, then stitch to guarantee
         connectivity via a random spanning chain.
-
-        The vector path draws the whole cluster's coin flips first (same
-        calls on the same *rng*, so the stream — and therefore the graph —
-        is unchanged), masks them in one numpy comparison, and commits the
-        hits through :meth:`Graph.add_edges`.
         """
-        if vector and len(members) > 2:
-            count = len(members)
-            iu, iv = np.triu_indices(count, k=1)
-            uniforms = np.fromiter(
-                (rng.random() for _ in range(iu.shape[0])),
-                dtype=np.float64,
-                count=iu.shape[0],
-            )
-            arr = np.asarray(members)
-            hits = uniforms < prob
-            graph.add_edges(
-                zip(arr[iu[hits]].tolist(), arr[iv[hits]].tolist())
-            )
-        else:
-            for i, u in enumerate(members):
-                for v in members[i + 1 :]:
-                    if rng.random() < prob:
-                        graph.add_edge(u, v)
+        for i, u in enumerate(members):
+            for v in members[i + 1 :]:
+                if rng.random() < prob:
+                    graph.add_edge(u, v)
         shuffled = list(members)
         rng.shuffle(shuffled)
         for a, b in zip(shuffled, shuffled[1:]):
@@ -124,8 +95,6 @@ class TransitStubGenerator(TopologyGenerator):
         """Build a transit–stub topology of approximately *n* nodes
         (exact when (n - transit nodes) divides evenly across stubs)."""
         _validate_size(n, minimum=self.transit_domains * self.transit_size)
-        engine = self.resolve_engine(n)
-        vector = engine == "vector"
         rng = make_rng(seed)
         stub_size = self._stub_size_for(n)
         graph = Graph(name=self.name)
@@ -136,7 +105,7 @@ class TransitStubGenerator(TopologyGenerator):
             members = list(range(next_id, next_id + self.transit_size))
             next_id += self.transit_size
             graph.add_nodes(members)
-            self._er_cluster(graph, members, self.intra_edge_prob, rng, vector)
+            self._er_cluster(graph, members, self.intra_edge_prob, rng)
             transit_nodes.append(members)
 
         # Inter-domain backbone: random tree over domains + shortcuts.
@@ -161,7 +130,7 @@ class TransitStubGenerator(TopologyGenerator):
                     graph.add_nodes(members)
                     if stub_size > 1:
                         self._er_cluster(
-                            graph, members, self.stub_edge_prob, rng, vector
+                            graph, members, self.stub_edge_prob, rng
                         )
                     graph.add_edge(rng.choice(members), transit)
                     stub_members_all.extend(members)

@@ -22,7 +22,6 @@ signature in the comparison table.
 
 from __future__ import annotations
 
-import heapq
 from bisect import insort
 from typing import List
 
@@ -36,15 +35,7 @@ __all__ = ["InetGenerator"]
 
 
 class InetGenerator(TopologyGenerator):
-    """Inet-style generator with degree-1 fraction and power-law core.
-
-    *engine* selects the stub-resolution kernel (see
-    :mod:`repro.generators.engine`): the greedy matching of step 4 is
-    deterministic, and the vector path replays its exact selection order
-    (largest remaining capacity first, smallest id on ties) from free-count
-    buckets instead of a lazily-invalidated heap — same seed, same graph,
-    without the heap churn that dominates large runs.
-    """
+    """Inet-style generator with degree-1 fraction and power-law core."""
 
     name = "inet"
 
@@ -53,7 +44,6 @@ class InetGenerator(TopologyGenerator):
         gamma: float = 2.2,
         degree_one_fraction: float = 0.3,
         k_max_fraction: float = 0.3,
-        engine: str = "auto",
     ):
         if gamma <= 1:
             raise ValueError("gamma must exceed 1")
@@ -64,7 +54,6 @@ class InetGenerator(TopologyGenerator):
         self.gamma = gamma
         self.degree_one_fraction = degree_one_fraction
         self.k_max_fraction = k_max_fraction
-        self.engine = engine
 
     def generate(self, n: int, seed: SeedLike = None) -> Graph:
         """Build an Inet-style topology with exactly *n* nodes."""
@@ -127,55 +116,20 @@ class InetGenerator(TopologyGenerator):
             free[leaf] -= 1
 
         # Step 4 — greedy stub resolution, biggest remaining first.
-        engine = self.resolve_engine(n)
-        with self.trace_phase("resolve", n=n, engine=engine):
-            if engine == "vector":
-                self._resolve_stubs_buckets(graph, free, n_core)
-            else:
-                self._resolve_stubs_heap(graph, free, n_core)
+        with self.trace_phase("resolve", n=n):
+            self._resolve_stubs(graph, free, n_core)
         return graph
 
     @staticmethod
-    def _resolve_stubs_heap(graph: Graph, free: List[int], n_core: int) -> None:
-        """Reference resolution: lazily-invalidated max-heap."""
-        heap = [(-free[v], v) for v in range(n_core) if free[v] > 0]
-        heapq.heapify(heap)
-        while len(heap) > 1:
-            neg, u = heapq.heappop(heap)
-            if free[u] != -neg:
-                continue  # stale entry
-            # Find the highest-capacity partner u is not already linked to.
-            partner = None
-            rest = []
-            while heap:
-                cand_neg, cand = heapq.heappop(heap)
-                if free[cand] != -cand_neg:
-                    continue
-                if not graph.has_edge(u, cand):
-                    partner = cand
-                    break
-                rest.append((cand_neg, cand))
-            for item in rest:
-                heapq.heappush(heap, item)
-            if partner is None:
-                break  # u is linked to every remaining candidate
-            graph.add_edge(u, partner)
-            free[u] -= 1
-            free[partner] -= 1
-            if free[u] > 0:
-                heapq.heappush(heap, (-free[u], u))
-            if free[partner] > 0:
-                heapq.heappush(heap, (-free[partner], partner))
-
-    @staticmethod
-    def _resolve_stubs_buckets(graph: Graph, free: List[int], n_core: int) -> None:
-        """Exact replay of the heap greedy from free-count buckets.
+    def _resolve_stubs(graph: Graph, free: List[int], n_core: int) -> None:
+        """Greedy stub matching from free-count buckets.
 
         ``buckets[f]`` holds (sorted) the nodes whose remaining capacity is
         exactly *f*, so "largest free first, smallest id on ties" is a
         descending bucket walk with no stale entries to churn through.
         Capacities only decrease, hence the max-bucket pointer only
-        descends.  Produces the identical edge set to the heap version.
+        descends.  Adds the same edges, in the same order, as a
+        lazily-invalidated max-heap greedy would.
         """
         max_free = 0
         buckets: dict = {}

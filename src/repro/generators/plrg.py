@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from ..graph.graph import Graph
 from ..stats.powerlaw import sample_discrete_powerlaw
 from ..stats.rng import SeedLike, make_rng, spawn_seed
@@ -26,7 +24,6 @@ def configuration_model(
     degrees: List[int],
     seed: SeedLike = None,
     name: str = "configuration",
-    engine: str = "python",
 ) -> Graph:
     """Wire a degree sequence by uniform stub matching.
 
@@ -34,12 +31,6 @@ def configuration_model(
     simple edge, so realized degrees can fall slightly below the prescribed
     ones — the standard simple-graph projection used when PLRG is compared
     against AS maps.  The degree sum must be even.
-
-    ``engine="vector"`` collapses the shuffled stub pairing with numpy
-    (self-loop mask + canonical-pair ``np.unique``) instead of the per-pair
-    loop.  The shuffle — the only randomness — is shared, and duplicate
-    collapse is order-insensitive for unweighted simple edges, so both
-    engines build the identical graph.
     """
     if any(d < 0 for d in degrees):
         raise GenerationError("degrees must be non-negative")
@@ -52,20 +43,6 @@ def configuration_model(
     rng.shuffle(stubs)
     graph = Graph(name=name)
     graph.add_nodes(range(len(degrees)))
-    if engine == "vector":
-        arr = np.asarray(stubs, dtype=np.int64)
-        if arr.size % 2:
-            arr = arr[:-1]
-        us, vs = arr[0::2], arr[1::2]
-        keep = us != vs
-        lo = np.minimum(us[keep], vs[keep])
-        hi = np.maximum(us[keep], vs[keep])
-        unique = np.unique(lo * np.int64(len(degrees)) + hi)
-        size = np.int64(len(degrees))
-        graph.add_edges(
-            zip((unique // size).tolist(), (unique % size).tolist())
-        )
-        return graph
     for i in range(0, len(stubs) - 1, 2):
         u, v = stubs[i], stubs[i + 1]
         if u != v and not graph.has_edge(u, v):
@@ -88,7 +65,6 @@ class PlrgGenerator(TopologyGenerator):
         gamma: float = 2.2,
         k_min: int = 1,
         k_max_fraction: float = 0.5,
-        engine: str = "auto",
     ):
         if gamma <= 1:
             raise ValueError("gamma must exceed 1")
@@ -99,7 +75,6 @@ class PlrgGenerator(TopologyGenerator):
         self.gamma = gamma
         self.k_min = k_min
         self.k_max_fraction = k_max_fraction
-        self.engine = engine
 
     def degree_sequence(self, n: int, seed: SeedLike = None) -> List[int]:
         """Sample the prescribed degree sequence (even sum guaranteed)."""
@@ -117,9 +92,8 @@ class PlrgGenerator(TopologyGenerator):
     def generate(self, n: int, seed: SeedLike = None) -> Graph:
         """Sample a PLRG with *n* nodes (some may be isolated after collapse)."""
         rng = make_rng(seed)
-        engine = self.resolve_engine(n)
         degrees = self.degree_sequence(n, seed=rng)
-        with self.trace_phase("wire", n=n, engine=engine):
+        with self.trace_phase("wire", n=n):
             return configuration_model(
-                degrees, seed=rng, name=self.name, engine=engine
+                degrees, seed=rng, name=self.name
             )

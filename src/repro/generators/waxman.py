@@ -29,11 +29,6 @@ class WaxmanGenerator(TopologyGenerator):
     ``connect=True`` (default) isolated fragments are stitched to the giant
     component through their spatially nearest member, the convention BRITE
     adopted so benchmark graphs are usable for routing studies.
-
-    *engine* selects the growth kernel (see :mod:`repro.generators.engine`);
-    the vector path sweeps pair blocks against one batched uniform stream
-    and commits hits through a bulk insert, reproducing the python engine's
-    graph bit-for-bit (numpy draws are chunk-invariant).
     """
 
     name = "waxman"
@@ -43,12 +38,10 @@ class WaxmanGenerator(TopologyGenerator):
         alpha: float = 0.15,
         beta: float = 0.4,
         connect: bool = True,
-        engine: str = "auto",
     ):
         self.alpha = alpha
         self.beta = beta
         self.connect = connect
-        self.engine = engine
         # Validates ranges eagerly so a bad config fails at construction.
         self._kernel = WaxmanKernel(alpha=alpha, beta=beta)
 
@@ -76,7 +69,6 @@ class WaxmanGenerator(TopologyGenerator):
     def generate(self, n: int, seed: SeedLike = None) -> Graph:
         """Sample one Waxman instance with *n* nodes."""
         _validate_size(n)
-        engine = self.resolve_engine(n)
         rng = make_rng(seed)
         np_rng = make_numpy_rng(rng.getrandbits(63))
         xs = np_rng.random(n)
@@ -87,49 +79,18 @@ class WaxmanGenerator(TopologyGenerator):
             plane.place(node, float(xs[node]), float(ys[node]))
             graph.add_node(node)
         scale = self.alpha * plane.max_distance
-        with self.trace_phase("pairs", n=n, engine=engine):
-            if engine == "vector":
-                self._pair_sweep_vector(graph, xs, ys, scale, np_rng)
-            else:
-                # Row-vectorized pair sweep: for each u, test all v > u at once.
-                for u in range(n - 1):
-                    dx = xs[u + 1 :] - xs[u]
-                    dy = ys[u + 1 :] - ys[u]
-                    prob = self.beta * np.exp(-np.hypot(dx, dy) / scale)
-                    hits = np.nonzero(np_rng.random(n - u - 1) < prob)[0]
-                    for offset in hits:
-                        graph.add_edge(u, int(u + 1 + offset))
+        with self.trace_phase("pairs", n=n):
+            # Row-vectorized pair sweep: for each u, test all v > u at once.
+            for u in range(n - 1):
+                dx = xs[u + 1 :] - xs[u]
+                dy = ys[u + 1 :] - ys[u]
+                prob = self.beta * np.exp(-np.hypot(dx, dy) / scale)
+                hits = np.nonzero(np_rng.random(n - u - 1) < prob)[0]
+                for offset in hits:
+                    graph.add_edge(u, int(u + 1 + offset))
         if self.connect:
             self._stitch_components(graph, plane)
         return graph
-
-    def _pair_sweep_vector(self, graph: Graph, xs, ys, scale: float, np_rng) -> None:
-        """Blockwise upper-triangle sweep, bit-identical to the row loop.
-
-        Rows are grouped into blocks of ~2M pairs; within a block the pair
-        order is row-major (exactly the python engine's order), and one
-        ``np_rng.random(pairs)`` per block consumes the uniform stream
-        exactly as the per-row calls do, so the edge set is identical.
-        Hits are committed through :meth:`Graph.add_edges`.
-        """
-        n = xs.shape[0]
-        block_pairs = 1 << 21
-        u = 0
-        while u < n - 1:
-            u_end = u
-            pairs = 0
-            while u_end < n - 1 and pairs < block_pairs:
-                pairs += n - u_end - 1
-                u_end += 1
-            rows = np.arange(u, u_end)
-            iu = np.repeat(rows, n - 1 - rows)
-            iv = np.concatenate([np.arange(r + 1, n) for r in rows])
-            prob = self.beta * np.exp(
-                -np.hypot(xs[iv] - xs[iu], ys[iv] - ys[iu]) / scale
-            )
-            hits = np_rng.random(iu.shape[0]) < prob
-            graph.add_edges(zip(iu[hits].tolist(), iv[hits].tolist()))
-            u = u_end
 
     @staticmethod
     def _stitch_components(graph: Graph, plane: Plane) -> None:

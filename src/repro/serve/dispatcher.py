@@ -185,26 +185,13 @@ class ServeDispatcher:
         self._stopped = False
         thread_count = threads if threads is not None else max(2, jobs)
         if prewarm:
-            self._prewarm()
+            get_registry().gauge("serve.workers").set(self.pool.prewarm())
         if start:
             self.start(thread_count)
         else:
             self._thread_count = thread_count
 
     # ------------------------------------------------------------ lifecycle
-
-    def _prewarm(self) -> None:
-        """Force the pool's worker processes to exist before traffic.
-
-        Spawning here — before any dispatcher or HTTP thread runs — keeps
-        process creation off the request path entirely; ``import os`` has
-        already happened in the parent, so the submitted probe is free.
-        """
-        import os
-
-        futures = [self.pool.executor.submit(os.getpid) for _ in range(self.pool.jobs)]
-        workers = {f.result() for f in futures}
-        get_registry().gauge("serve.workers").set(len(workers))
 
     def start(self, threads: Optional[int] = None) -> None:
         """Start the dispatcher threads (idempotent)."""

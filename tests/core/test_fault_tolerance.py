@@ -209,8 +209,17 @@ class TestCrashContainment:
 
 
 class TestTimeout:
-    @pytest.mark.parametrize("jobs", [1, PARALLEL_JOBS])
-    def test_overrunning_unit_recorded_as_timeout(self, jobs):
+    # The spawn case pins that a cold pool's worker start-up (interpreter
+    # start plus imports) is never charged to the first units' timeout.
+    @pytest.mark.parametrize(
+        "jobs, mp_context",
+        [
+            pytest.param(1, None, id="1"),
+            pytest.param(PARALLEL_JOBS, None, id=str(PARALLEL_JOBS)),
+            pytest.param(PARALLEL_JOBS, "spawn", id=f"{PARALLEL_JOBS}-spawn"),
+        ],
+    )
+    def test_overrunning_unit_recorded_as_timeout(self, jobs, mp_context):
         victim = unit_seed("sleepy", 0)
         roster = {
             "sleepy": SleepingGenerator(sleep_seeds=[victim], sleep_seconds=2.0),
@@ -218,7 +227,7 @@ class TestTimeout:
         }
         result = run_battery(
             roster, n=N, seeds=2, base_seed=BASE_SEED, jobs=jobs,
-            timeout=0.5, **FAST,
+            timeout=0.5, mp_context=mp_context, **FAST,
         )
         (failure,) = result.failures
         assert failure.model == "sleepy"

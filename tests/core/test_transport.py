@@ -9,7 +9,6 @@ property-based round trip drives the handle over the historically nasty
 graph shapes: isolated nodes, mixed int/str ids, accumulated weights.
 """
 
-import itertools
 import json
 import multiprocessing
 import os
@@ -35,7 +34,6 @@ from repro.core.transport import (
     publish_graph,
     resolve_mp_context,
     resolve_transport,
-    set_attach_cache_limit,
     unlink_shared,
 )
 from repro.generators.barabasi_albert import BarabasiAlbertGenerator
@@ -70,9 +68,6 @@ def graphs(draw):
     return g
 
 
-_shm_tokens = itertools.count()
-
-
 class TestHandleRoundTrip:
     @given(graphs())
     @settings(max_examples=30, deadline=None)
@@ -93,24 +88,9 @@ class TestHandleRoundTrip:
             clear_attach_cache()
             unlink_shared(handle)
 
-    @given(graphs())
-    @settings(max_examples=15, deadline=None)
-    def test_shm_round_trip(self, g):
-        token = f"repro-test-{os.getpid():x}-{next(_shm_tokens):x}"
-        handle = publish_graph(g, token, method="shm")
-        try:
-            clear_attach_cache()
-            attached = attach_graph(handle)
-            assert attached.fingerprint() == g.fingerprint()
-            assert list(attached.nodes()) == list(g.nodes())
-        finally:
-            clear_attach_cache()
-            unlink_shared(handle)
-
     def test_handle_reports_identity_without_arrays(self, tmp_path):
         g = BarabasiAlbertGenerator(m=2).generate(80, seed=5)
         handle = publish_graph(g, tmp_path / "graph")
-        assert handle.method == "spool"
         assert handle.fingerprint == g.fingerprint()
         assert handle.num_nodes == 80
         assert handle.num_edges == g.num_edges
@@ -153,11 +133,12 @@ class TestAttachCacheLRU:
     caller is still reading."""
 
     @pytest.fixture(autouse=True)
-    def _bounded_cache(self):
+    def _bounded_cache(self, monkeypatch):
+        from repro.core import transport
+
         clear_attach_cache()
-        previous = set_attach_cache_limit(2)
+        monkeypatch.setattr(transport, "_ATTACH_CACHE_SIZE", 2)
         yield
-        set_attach_cache_limit(previous)
         clear_attach_cache()
 
     def _publish_many(self, tmp_path, count):
@@ -194,16 +175,14 @@ class TestAttachCacheLRU:
 
     def test_eviction_does_not_invalidate_in_use_views(self, tmp_path):
         """A view handed out before its entry was evicted must keep
-        reading valid data: eviction closes the shm segment quietly
-        (BufferError-tolerant) rather than tearing pages out from under
-        live readers."""
+        reading valid data: eviction only drops the cache's reference,
+        never the mapping under live readers."""
         graphs = [
             BarabasiAlbertGenerator(m=2).generate(40 + i, seed=i)
             for i in range(4)
         ]
-        token = f"repro-lru-{os.getpid():x}"
         handles = [
-            publish_graph(g, f"{token}-{i}", method="shm")
+            publish_graph(g, tmp_path / f"graph-{i}")
             for i, g in enumerate(graphs)
         ]
         try:
@@ -223,21 +202,6 @@ class TestAttachCacheLRU:
             for handle in handles:
                 unlink_shared(handle)
 
-    def test_shrinking_limit_evicts_excess_immediately(self, tmp_path):
-        from repro.core.transport import _attach_cache
-
-        set_attach_cache_limit(4)
-        handles = self._publish_many(tmp_path, 4)
-        for handle in handles:
-            attach_view(handle)
-        assert len(_attach_cache) == 4
-        assert set_attach_cache_limit(2) == 4
-        assert len(_attach_cache) == 2
-
-    def test_limit_must_be_positive(self):
-        with pytest.raises(ValueError):
-            set_attach_cache_limit(0)
-
 
 class TestResolveTransport:
     def test_explicit_choices_pass_through(self):
@@ -248,7 +212,8 @@ class TestResolveTransport:
         with pytest.raises(ValueError, match="unknown transport"):
             resolve_transport("teleport")
 
-    def test_auto_threshold_on_n_and_groups(self):
+    def test_auto_threshold_on_n_and_groups(self, monkeypatch):
+        monkeypatch.delenv(REPRO_TRANSPORT_ENV, raising=False)
         assert resolve_transport("auto", AUTO_SHARED_NODES, AUTO_SHARED_GROUPS) == "shared"
         assert resolve_transport("auto", AUTO_SHARED_NODES - 1, 6) == "regenerate"
         assert resolve_transport("auto", AUTO_SHARED_NODES, AUTO_SHARED_GROUPS - 1) == "regenerate"

@@ -1,10 +1,13 @@
-"""Engine-equivalence suite: the vector growth kernels vs the reference loops.
+"""Engine-equivalence suite: growth kernels vs their references.
 
 Two contracts, per :mod:`repro.generators.engine`:
 
 * **draw-order-preserving** generators (``engine_sensitive = False``)
-  must produce the *same graph* — identical :meth:`Graph.fingerprint` —
-  from either engine for any seed;
+  have one growth kernel.  Their graphs are pinned by golden
+  fingerprints (``golden_fingerprints.json``) recorded while each family
+  still had a python and a vector kernel that agreed; inet's and brite's
+  kernels are also checked against the reference loops in
+  :mod:`.oracles` across a hypothesis seed sweep;
 * **engine-sensitive** generators (``engine_sensitive = True``) must
   produce *distributionally equivalent* graphs: identical node counts,
   mean degree within a few percent, and a small two-sample KS distance
@@ -14,6 +17,9 @@ Plus the selection machinery itself: explicit > environment > size
 threshold, validated everywhere, and the resolved engine joining the
 battery cache identity for engine-sensitive generators only.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +41,8 @@ from repro.generators import (
 from repro.generators import engine as engine_mod
 from repro.generators.engine import AUTO_VECTOR_THRESHOLD, resolve_engine
 from repro.stats.distributions import ks_distance
+
+from .oracles import HeapInetGenerator, ScanBriteGenerator
 
 # ---------------------------------------------------------------- selection
 
@@ -100,11 +108,14 @@ class TestResolveEngine:
 
 class TestCacheIdentity:
     def test_engine_never_in_params(self):
-        for generator in (WaxmanGenerator(engine="vector"), SerranoGenerator()):
+        waxman = WaxmanGenerator()
+        waxman.engine = "vector"
+        for generator in (waxman, SerranoGenerator()):
             assert "engine" not in generator.params()
 
     def test_order_preserving_cache_params_engine_free(self):
-        generator = WaxmanGenerator(engine="vector")
+        generator = WaxmanGenerator()
+        generator.engine = "vector"
         assert "engine" not in generator.cache_params(500)
 
     def test_sensitive_cache_params_carry_resolved_engine(self, monkeypatch):
@@ -132,49 +143,86 @@ class TestCacheIdentity:
 
 # ------------------------------------------- draw-order-preserving: identity
 
+GOLDEN = json.loads(
+    (Path(__file__).with_name("golden_fingerprints.json")).read_text()
+)["fingerprints"]
+
 ORDER_PRESERVING = {
-    "waxman": lambda e: WaxmanGenerator(engine=e),
-    "plrg": lambda e: PlrgGenerator(engine=e),
-    "transit-stub": lambda e: TransitStubGenerator(engine=e),
-    "inet": lambda e: InetGenerator(engine=e),
-    "brite": lambda e: BriteGenerator(engine=e),
+    "brite": BriteGenerator,
+    "brite-geometry": lambda: BriteGenerator(geometry=True),
+    "inet": InetGenerator,
+    "plrg": PlrgGenerator,
+    "transit-stub": TransitStubGenerator,
+    "waxman": WaxmanGenerator,
+}
+
+GOLDEN_CELLS = [
+    (name, int(cell.split("/")[0]), int(cell.split("/")[1]), value)
+    for name, cells in sorted(GOLDEN.items())
+    for cell, value in sorted(cells.items())
+]
+
+#: Production kernel vs its reference oracle (see :mod:`.oracles`).
+ORACLES = {
+    "inet": (InetGenerator, HeapInetGenerator),
+    "brite": (BriteGenerator, ScanBriteGenerator),
 }
 
 
+class TestGoldenFingerprints:
+    def test_table_covers_every_order_preserving_family(self):
+        assert set(GOLDEN) == set(ORDER_PRESERVING)
+        assert len(GOLDEN_CELLS) == 5 * 6 + 2
+
+    @pytest.mark.parametrize(
+        "name, n, seed, expected",
+        GOLDEN_CELLS,
+        ids=[f"{name}-{n}-{seed}" for name, n, seed, _ in GOLDEN_CELLS],
+    )
+    def test_surviving_kernel_reproduces_golden(self, name, n, seed, expected):
+        graph = ORDER_PRESERVING[name]().generate(n, seed=seed)
+        assert graph.fingerprint() == expected
+
+
 class TestFingerprintIdentity:
-    @pytest.mark.parametrize("name", sorted(ORDER_PRESERVING))
+    @pytest.mark.parametrize("name", sorted(ORACLES))
     @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("n", [160, 700])  # transit-stub needs n >= 128
+    @pytest.mark.parametrize("n", [160, 700])
     def test_same_graph_from_both_engines(self, name, seed, n):
-        make = ORDER_PRESERVING[name]
-        python_graph = make("python").generate(n, seed=seed)
-        vector_graph = make("vector").generate(n, seed=seed)
-        assert python_graph.fingerprint() == vector_graph.fingerprint()
+        production, oracle = ORACLES[name]
+        production_graph = production().generate(n, seed=seed)
+        oracle_graph = oracle().generate(n, seed=seed)
+        assert production_graph.fingerprint() == oracle_graph.fingerprint()
 
     def test_brite_geometric_variant_identical(self):
         for seed in (1, 2):
-            python_graph = BriteGenerator(geometry=True, engine="python").generate(
+            production_graph = BriteGenerator(geometry=True).generate(
                 400, seed=seed
             )
-            vector_graph = BriteGenerator(geometry=True, engine="vector").generate(
+            oracle_graph = ScanBriteGenerator(geometry=True).generate(
                 400, seed=seed
             )
-            assert python_graph.fingerprint() == vector_graph.fingerprint()
+            assert production_graph.fingerprint() == oracle_graph.fingerprint()
 
+    @pytest.mark.parametrize("name", sorted(ORACLES))
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n=st.integers(min_value=40, max_value=260),
     )
     @settings(max_examples=12, deadline=None)
-    def test_waxman_identity_is_seed_universal(self, seed, n):
-        python_graph = WaxmanGenerator(engine="python").generate(n, seed=seed)
-        vector_graph = WaxmanGenerator(engine="vector").generate(n, seed=seed)
-        assert python_graph.fingerprint() == vector_graph.fingerprint()
+    def test_oracle_identity_is_seed_universal(self, name, seed, n):
+        production, oracle = ORACLES[name]
+        production_graph = production().generate(n, seed=seed)
+        oracle_graph = oracle().generate(n, seed=seed)
+        assert production_graph.fingerprint() == oracle_graph.fingerprint()
+        assert list(production_graph.weighted_edges()) == list(
+            oracle_graph.weighted_edges()
+        )
 
 
 class TestAutoThresholdStraddle:
-    """engine="auto" must swap kernels exactly at the threshold — and the
-    swap must be invisible for draw-order-preserving generators."""
+    """engine="auto" must swap kernels exactly at the threshold, and build
+    exactly the graph of the engine it resolves to."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -192,11 +240,13 @@ class TestAutoThresholdStraddle:
         engine_mod.AUTO_VECTOR_THRESHOLD = threshold
         try:
             n = threshold + offset
-            generator = WaxmanGenerator()  # engine defaults to auto
+            generator = BarabasiAlbertGenerator(m=2)  # engine defaults to auto
             expected = "vector" if n >= threshold else "python"
             assert generator.resolve_engine(n) == expected
             auto_graph = generator.generate(n, seed=seed)
-            pinned = WaxmanGenerator(engine=expected).generate(n, seed=seed)
+            pinned = BarabasiAlbertGenerator(m=2, engine=expected).generate(
+                n, seed=seed
+            )
             assert auto_graph.fingerprint() == pinned.fingerprint()
         finally:
             engine_mod.AUTO_VECTOR_THRESHOLD = saved_threshold
@@ -283,9 +333,11 @@ class TestDistributionalEquivalence:
 class TestEnvSelection:
     def test_env_flips_a_default_generator(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "vector")
-        generator = WaxmanGenerator()
+        generator = BarabasiAlbertGenerator(m=2)
         assert generator.resolve_engine(50) == "vector"
         graph = generator.generate(80, seed=1)
         monkeypatch.setenv("REPRO_ENGINE", "python")
-        reference = WaxmanGenerator().generate(80, seed=1)
+        reference = BarabasiAlbertGenerator(m=2, engine="vector").generate(
+            80, seed=1
+        )
         assert graph.fingerprint() == reference.fingerprint()
