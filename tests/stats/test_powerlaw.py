@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.stats import powerlaw
 from repro.stats.powerlaw import (
     bootstrap_gamma,
     fit_discrete_powerlaw,
@@ -12,6 +15,8 @@ from repro.stats.powerlaw import (
     hill_estimator,
     sample_discrete_powerlaw,
 )
+
+from . import zeta_oracle
 
 
 class TestSampling:
@@ -188,3 +193,71 @@ class TestBootstrap:
         assert bootstrap_gamma(samples, 1, n_boot=10, seed=20) == bootstrap_gamma(
             samples, 1, n_boot=10, seed=20
         )
+
+
+@st.composite
+def degree_sequences(draw):
+    """Power-law draws, sometimes under an extra non-power-law head."""
+    samples = sample_discrete_powerlaw(
+        draw(st.floats(1.5, 3.5)),
+        draw(st.integers(60, 400)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return samples + draw(st.lists(st.integers(1, 8), max_size=150))
+
+
+class TestClosedFormZeta:
+    """scipy's Hurwitz zeta against the summed form it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gamma=st.floats(1.05, 16.0), x=st.integers(1, 20_000))
+    def test_zeta_matches_summed_form(self, gamma, x):
+        expected = zeta_oracle._generalized_zeta(gamma, x)
+        assert abs(powerlaw._generalized_zeta(gamma, x) - expected) <= 1e-11 * expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gamma=st.floats(1.05, 16.0),
+        values=st.lists(st.integers(1, 20_000), min_size=1, max_size=40, unique=True),
+        below=st.integers(0, 50),
+    )
+    def test_model_ccdf_matches_summed_form(self, gamma, values, below):
+        values = np.asarray(sorted(values), dtype=float)
+        x_min = max(1, int(values[0]) - below)
+        expected = zeta_oracle._model_ccdf(gamma, x_min, values)
+        actual = powerlaw._model_ccdf(gamma, x_min, values)
+        assert np.all(np.abs(actual - expected) <= 1e-11 * expected)
+
+    def test_gamma_at_most_one_rejected(self):
+        with pytest.raises(ValueError):
+            powerlaw._generalized_zeta(1.0, 3)
+
+    @settings(max_examples=50, deadline=None)
+    @given(samples=degree_sequences(), min_tail=st.sampled_from([20, 50]))
+    def test_fit_matches_summed_zeta(self, samples, min_tail):
+        candidate_ks = []
+
+        def recording_fit(samples, x_min=1):
+            fit = fit_discrete_powerlaw(samples, x_min=x_min)
+            candidate_ks.append(fit.ks)
+            return fit
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(powerlaw, "fit_discrete_powerlaw", recording_fit)
+            closed = powerlaw.fit_powerlaw_auto_xmin(samples, min_tail=min_tail)
+        # Two candidates within rounding of each other may swap places.
+        best, runner_up = (sorted(candidate_ks) + [math.inf])[:2]
+        assume(runner_up - best > 1e-12)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(powerlaw, "_generalized_zeta", zeta_oracle._generalized_zeta)
+            mp.setattr(powerlaw, "_model_ccdf", zeta_oracle._model_ccdf)
+            summed = powerlaw.fit_powerlaw_auto_xmin(samples, min_tail=min_tail)
+            # KS at the closed form's own gamma: the search resolves gamma
+            # to 1e-6, and where rounding flips one of its comparisons
+            # (about 1 fit in 100) gamma, and so KS, moves within that.
+            summed_ks = powerlaw._ks_statistic(
+                powerlaw._tail(samples, closed.x_min), closed.gamma, closed.x_min
+            )
+        assert summed.x_min == closed.x_min
+        assert abs(summed.gamma - closed.gamma) <= 1e-6
+        assert abs(summed_ks - closed.ks) <= 1e-12
