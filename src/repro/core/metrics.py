@@ -43,8 +43,10 @@ __all__ = [
 
 #: Version tag for the battery's on-disk cache keys.  Bump whenever any
 #: metric implementation changes numerically — cached cells computed by the
-#: old code then stop matching and are recomputed.
-METRICS_VERSION = "1"
+#: old code then stop matching and are recomputed.  tests/core/
+#: golden_metrics.json pins each version's values on a fixed corpus, and
+#: tier-1 fails when one moves without a bump (see test_golden_metrics.py).
+METRICS_VERSION = "2"
 
 #: Partition of the scalar battery into independently computable (and
 #: independently cacheable) groups.  Every :class:`TopologySummary` field

@@ -70,6 +70,55 @@ def _tail(samples: Sequence[int], x_min: int) -> np.ndarray:
     return data[data >= x_min]
 
 
+def _golden_section(f, lo: float, hi: float) -> Tuple[float, float]:
+    """Final bracket ``(a, b)`` of a golden-section search for the minimum
+    of a unimodal *f* on ``[lo, hi]``.
+
+    An edge the minimum lies on or beyond is never moved, so ``b == hi``
+    (``a == lo``) when the minimum is at or above *hi* (below *lo*).
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(60):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+        if b - a < 1e-6:
+            break
+    return a, b
+
+
+def _convex_minimum(f, lo: float, hi: float, floor: float) -> float:
+    """Minimizer of a convex *f* on ``[floor, inf)``, searched from
+    ``[lo, hi]``.
+
+    A search that ends on an edge other than *floor* means the minimum
+    lies beyond that edge: the bracket slides past it, doubling its stride
+    each time, so a distant minimum costs few searches.
+    """
+    a, b = _golden_section(f, lo, hi)
+    step = hi - lo
+    if b == hi:
+        while b == hi:
+            step *= 2.0
+            lo, hi = hi, hi + step
+            a, b = _golden_section(f, lo, hi)
+    else:
+        while a == lo and lo > floor:
+            step *= 2.0
+            lo, hi = max(floor, lo - step), lo
+            a, b = _golden_section(f, lo, hi)
+    return (a + b) / 2.0
+
+
 def _mle_gamma(tail: np.ndarray, x_min: int) -> float:
     """Discrete MLE via the CSN approximation, refined by golden-section
     search on the exact discrete log-likelihood."""
@@ -83,26 +132,11 @@ def _mle_gamma(tail: np.ndarray, x_min: int) -> float:
     def neg_loglike(gamma: float) -> float:
         return tail.size * math.log(_generalized_zeta(gamma, x_min)) + gamma * log_sum
 
-    # Golden-section search around the approximation.
-    lo = max(1.05, approx - 0.8)
-    hi = approx + 0.8
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = neg_loglike(c), neg_loglike(d)
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = neg_loglike(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = neg_loglike(d)
-        if b - a < 1e-6:
-            break
-    return (a + b) / 2.0
+    # Search around the approximation.  The negative log-likelihood is
+    # convex in gamma (a log-sum-exp plus a linear term), so the search may
+    # slide past either edge but the 1.05 floor; a zeta that underflows on
+    # the way raises ValueError.
+    return _convex_minimum(neg_loglike, max(1.05, approx - 0.8), approx + 0.8, floor=1.05)
 
 
 def _model_ccdf(gamma: float, x_min: int, values: np.ndarray) -> np.ndarray:

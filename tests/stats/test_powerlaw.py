@@ -1,6 +1,7 @@
 """Tests for repro.stats.powerlaw — fitters recover known exponents."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -87,6 +88,36 @@ class TestFixedXminFit:
     def test_str_mentions_gamma(self):
         samples = sample_discrete_powerlaw(2.2, 1000, seed=10)
         assert "gamma=" in str(fit_discrete_powerlaw(samples, x_min=1))
+
+    def test_optimum_beyond_the_initial_bracket(self):
+        # The CSN approximation (6.83) sits 2.3 below this tail's optimum,
+        # outside the search's starting bracket of +-0.8 around it.
+        from scipy.optimize import minimize_scalar
+        from scipy.special import zeta
+
+        from repro.core.registry import make_generator
+        from repro.graph.traversal import giant_component
+
+        graph = giant_component(make_generator("watts-strogatz").generate(250, seed=1))
+        degrees = list(graph.degrees().values())
+        tail = np.asarray([d for d in degrees if d >= 4], dtype=float)
+        log_sum = float(np.log(tail).sum())
+        best = minimize_scalar(
+            lambda g: tail.size * math.log(zeta(g, 4)) + g * log_sum,
+            bounds=(1.05, 50.0),
+            method="bounded",
+            options={"xatol": 1e-9},
+        )
+        assert fit_discrete_powerlaw(degrees, x_min=4).gamma == pytest.approx(best.x, abs=1e-5)
+
+    def test_concentrated_tail_underflow_raises_promptly(self):
+        # Nearly every value sits on x_min, so the optimum gamma (~400) is
+        # past where zeta(gamma, 50) underflows to zero: the sliding search
+        # must reach the underflow and stop, not climb forever.
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            fit_discrete_powerlaw([50] * 5000 + [51, 52], x_min=50)
+        assert time.perf_counter() - start < 5.0
 
 
 class TestAutoXmin:
@@ -204,6 +235,20 @@ def degree_sequences(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     return samples + draw(st.lists(st.integers(1, 8), max_size=150))
+
+
+class TestConvexMinimum:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        minimum=st.floats(0.0, 5000.0),
+        lo=st.floats(1.05, 50.0),
+        width=st.floats(0.1, 2.0),
+    )
+    def test_slides_to_a_minimum_outside_the_bracket(self, minimum, lo, width):
+        found = powerlaw._convex_minimum(
+            lambda x: (x - minimum) ** 2, lo, lo + width, floor=1.05
+        )
+        assert found == pytest.approx(max(minimum, 1.05), abs=1e-6)
 
 
 class TestClosedFormZeta:
