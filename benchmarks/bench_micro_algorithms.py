@@ -22,7 +22,7 @@ from repro.graph import (
 )
 from repro.graph.correlations import degree_assortativity, knn_by_degree
 from repro.graph.shortest_paths import average_path_length, eccentricities
-from repro.stats import FenwickSampler
+from repro.stats import FenwickSampler, fit_powerlaw_auto_xmin
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,12 @@ def test_micro_sampled_paths(benchmark, ba_10k):
 def test_micro_rich_club_2k(benchmark, ba_2k):
     result = benchmark(rich_club_coefficient, ba_2k)
     assert result
+
+
+def test_micro_powerlaw_fit_2k(benchmark, ba_2k):
+    degrees = list(ba_2k.degrees().values())
+    fit = benchmark(fit_powerlaw_auto_xmin, degrees)
+    assert 2.0 < fit.gamma < 4.0
 
 
 #: (label, callable(graph, backend), required speedup) for the CSR shoot-out.

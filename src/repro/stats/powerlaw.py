@@ -71,12 +71,8 @@ def _tail(samples: Sequence[int], x_min: int) -> np.ndarray:
 
 
 def _golden_section(f, lo: float, hi: float) -> Tuple[float, float]:
-    """Final bracket ``(a, b)`` of a golden-section search for the minimum
-    of a unimodal *f* on ``[lo, hi]``.
-
-    An edge the minimum lies on or beyond is never moved, so ``b == hi``
-    (``a == lo``) when the minimum is at or above *hi* (below *lo*).
-    """
+    """Final bracket ``(a, b)`` of a golden-section search on ``[lo, hi]``;
+    an edge the minimum lies on or beyond is never moved."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -97,12 +93,10 @@ def _golden_section(f, lo: float, hi: float) -> Tuple[float, float]:
 
 
 def _convex_minimum(f, lo: float, hi: float, floor: float) -> float:
-    """Minimizer of a convex *f* on ``[floor, inf)``, searched from
-    ``[lo, hi]``.
+    """Minimizer of a convex *f* on ``[floor, inf)``, searched from ``[lo, hi]``.
 
-    A search that ends on an edge other than *floor* means the minimum
-    lies beyond that edge: the bracket slides past it, doubling its stride
-    each time, so a distant minimum costs few searches.
+    A search ending on an edge other than *floor* means the minimum lies
+    beyond it, so the bracket slides past that edge with a doubling stride.
     """
     a, b = _golden_section(f, lo, hi)
     step = hi - lo
@@ -132,10 +126,8 @@ def _mle_gamma(tail: np.ndarray, x_min: int) -> float:
     def neg_loglike(gamma: float) -> float:
         return tail.size * math.log(_generalized_zeta(gamma, x_min)) + gamma * log_sum
 
-    # Search around the approximation.  The negative log-likelihood is
-    # convex in gamma (a log-sum-exp plus a linear term), so the search may
-    # slide past either edge but the 1.05 floor; a zeta that underflows on
-    # the way raises ValueError.
+    # The negative log-likelihood is convex in gamma (a log-sum-exp plus a
+    # linear term); a zeta that underflows on the way raises ValueError.
     return _convex_minimum(neg_loglike, max(1.05, approx - 0.8), approx + 0.8, floor=1.05)
 
 
@@ -337,6 +329,8 @@ def sample_discrete_powerlaw(
         raise ValueError("gamma must exceed 1 for a normalizable power law")
     if x_min < 1:
         raise ValueError("x_min must be >= 1")
+    if x_max is not None and x_max < x_min:
+        raise ValueError(f"x_max={x_max} is below x_min={x_min}")
     rng = make_numpy_rng(seed)
     upper = x_max if x_max is not None else x_min * 10_000
     ks = np.arange(x_min, upper + 1, dtype=float)

@@ -16,8 +16,8 @@ value; floats as ``float.hex()``, NaN as ``"nan"``, ints as ints):
 Only the current version's entry is asserted.  When a change moves a value
 on purpose, bump ``METRICS_VERSION`` and record a new entry::
 
-    PYTHONPATH=src python -m tests.core.test_golden_metrics > golden.json
-    mv golden.json tests/core/golden_metrics.json
+    PYTHONPATH=src python -m tests.core.test_golden_metrics > golden.json \
+        && mv golden.json tests/core/golden_metrics.json
 
 Never edit an existing version's entry.
 """
@@ -25,6 +25,7 @@ Never edit an existing version's entry.
 import json
 import math
 import numbers
+import os
 import sys
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from repro.generators.engine import REPRO_ENGINE_ENV
 from repro.stats.powerlaw import fit_powerlaw_auto_xmin, sample_discrete_powerlaw
 
 GOLDEN_PATH = Path(__file__).with_name("golden_metrics.json")
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 #: (n, seed) of every registry-model cell.
 MODEL_CELLS = ((250, 0), (250, 1), (600, 0), (600, 1), (2000, 0))
@@ -55,7 +57,7 @@ def _poisson():
     return (np.random.default_rng(32).poisson(8, 600) + 1).tolist()
 
 
-#: Tail-only rows: name → (degree sequence builder, min_tail).
+#: Tail-only rows: name → (function returning the degree sequence, min_tail).
 TAIL_ROWS = {
     **{
         f"powerlaw/{gamma}/{size}": (
@@ -77,7 +79,7 @@ CELL_NAMES = MODEL_CELL_NAMES + [f"tail/{name}" for name in TAIL_ROWS]
 
 def _encode(value):
     """A metric value in its exact, JSON-safe golden form."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    if isinstance(value, numbers.Integral):
         return int(value)
     value = float(value)
     return "nan" if math.isnan(value) else value.hex()
@@ -109,10 +111,6 @@ def compute_cell(cell):
     }
 
 
-def _golden():
-    return json.loads(GOLDEN_PATH.read_text())
-
-
 _BUMP = (
     "a metric value moved: bump METRICS_VERSION in repro/core/metrics.py and "
     "record a new entry (`PYTHONPATH=src python -m tests.core.test_golden_metrics`); "
@@ -128,18 +126,17 @@ def _default_engine(monkeypatch):
 
 
 def test_current_version_has_an_entry():
-    golden = _golden()
-    assert METRICS_VERSION in golden, (
+    assert METRICS_VERSION in GOLDEN, (
         f"golden_metrics.json has no entry for METRICS_VERSION={METRICS_VERSION!r} "
-        f"(versions: {sorted(golden)}); record one "
+        f"(versions: {sorted(GOLDEN)}); record one "
         "(`PYTHONPATH=src python -m tests.core.test_golden_metrics`)"
     )
-    assert sorted(golden[METRICS_VERSION]) == sorted(CELL_NAMES)
+    assert sorted(GOLDEN[METRICS_VERSION]) == sorted(CELL_NAMES)
 
 
 @pytest.mark.parametrize("cell", CELL_NAMES)
 def test_cell_matches_golden(cell):
-    expected = _golden().get(METRICS_VERSION, {}).get(cell)
+    expected = GOLDEN.get(METRICS_VERSION, {}).get(cell)
     assert expected is not None, (
         f"no golden values for {cell} under METRICS_VERSION={METRICS_VERSION!r}"
     )
@@ -163,9 +160,9 @@ def test_cell_matches_golden(cell):
 
 
 def _dump(golden):
-    """The golden file's layout: one line per group, keys sorted."""
+    """The golden file's layout: versions in order, one line per group."""
     lines = ["{"]
-    for v, version in enumerate(sorted(golden)):
+    for v, version in enumerate(golden):
         lines.append(f" {json.dumps(version)}: {{")
         cells = golden[version]
         for c, cell in enumerate(sorted(cells)):
@@ -183,14 +180,11 @@ def _dump(golden):
 if __name__ == "__main__":
     # Print the golden file with an entry for the current METRICS_VERSION
     # added; an existing entry is never recomputed.
-    golden = _golden() if GOLDEN_PATH.exists() else {}
-    if METRICS_VERSION in golden:
+    if METRICS_VERSION in GOLDEN:
         sys.exit(
             f"METRICS_VERSION={METRICS_VERSION!r} already has an entry; "
             "bump METRICS_VERSION to record new values"
         )
-    import os
-
     os.environ.pop(REPRO_ENGINE_ENV, None)
-    golden[METRICS_VERSION] = {cell: compute_cell(cell) for cell in CELL_NAMES}
-    print(_dump(golden))
+    GOLDEN[METRICS_VERSION] = {cell: compute_cell(cell) for cell in CELL_NAMES}
+    print(_dump(GOLDEN))

@@ -45,6 +45,10 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_discrete_powerlaw(2.0, 10, x_min=0)
 
+    def test_x_max_below_x_min_rejected(self):
+        with pytest.raises(ValueError):
+            sample_discrete_powerlaw(2.2, 5, x_min=5, x_max=3, seed=1)
+
     def test_heavier_tail_for_smaller_gamma(self):
         light = sample_discrete_powerlaw(3.5, 5000, seed=5)
         heavy = sample_discrete_powerlaw(1.8, 5000, seed=5)
@@ -226,17 +230,6 @@ class TestBootstrap:
         )
 
 
-@st.composite
-def degree_sequences(draw):
-    """Power-law draws, sometimes under an extra non-power-law head."""
-    samples = sample_discrete_powerlaw(
-        draw(st.floats(1.5, 3.5)),
-        draw(st.integers(60, 400)),
-        seed=draw(st.integers(0, 2**32 - 1)),
-    )
-    return samples + draw(st.lists(st.integers(1, 8), max_size=150))
-
-
 class TestConvexMinimum:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -249,6 +242,17 @@ class TestConvexMinimum:
             lambda x: (x - minimum) ** 2, lo, lo + width, floor=1.05
         )
         assert found == pytest.approx(max(minimum, 1.05), abs=1e-6)
+
+
+@st.composite
+def degree_sequences(draw):
+    """Power-law draws, sometimes under an extra non-power-law head."""
+    samples = sample_discrete_powerlaw(
+        draw(st.floats(1.5, 3.5)),
+        draw(st.integers(60, 400)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return samples + draw(st.lists(st.integers(1, 8), max_size=150))
 
 
 class TestClosedFormZeta:
@@ -287,16 +291,25 @@ class TestClosedFormZeta:
             candidate_ks.append(fit.ks)
             return fit
 
+        def auto_fit():
+            try:
+                return powerlaw.fit_powerlaw_auto_xmin(samples, min_tail=min_tail)
+            except ValueError:
+                return None  # no candidate fits: both forms must agree
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(powerlaw, "fit_discrete_powerlaw", recording_fit)
-            closed = powerlaw.fit_powerlaw_auto_xmin(samples, min_tail=min_tail)
+            closed = auto_fit()
         # Two candidates within rounding of each other may swap places.
-        best, runner_up = (sorted(candidate_ks) + [math.inf])[:2]
-        assume(runner_up - best > 1e-12)
+        ks = sorted(candidate_ks)
+        assume(len(ks) < 2 or ks[1] - ks[0] > 1e-12)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(powerlaw, "_generalized_zeta", zeta_oracle._generalized_zeta)
             mp.setattr(powerlaw, "_model_ccdf", zeta_oracle._model_ccdf)
-            summed = powerlaw.fit_powerlaw_auto_xmin(samples, min_tail=min_tail)
+            summed = auto_fit()
+            if closed is None:
+                assert summed is None
+                return
             # KS at the closed form's own gamma: the search resolves gamma
             # to 1e-6, and where rounding flips one of its comparisons
             # (about 1 fit in 100) gamma, and so KS, moves within that.
@@ -304,5 +317,16 @@ class TestClosedFormZeta:
                 powerlaw._tail(samples, closed.x_min), closed.gamma, closed.x_min
             )
         assert summed.x_min == closed.x_min
-        assert abs(summed.gamma - closed.gamma) <= 1e-6
         assert abs(summed_ks - closed.ks) <= 1e-12
+        if abs(summed.gamma - closed.gamma) > 1e-6:
+            # On a flat likelihood such a flip can move gamma past 1e-6;
+            # both must still be optimal to within the likelihoods' own
+            # difference, n_tail terms each off by at most 1e-11.
+            tail = powerlaw._tail(samples, closed.x_min)
+            log_sum = float(np.log(tail).sum())
+
+            def neg_loglike(g):
+                return tail.size * math.log(powerlaw._generalized_zeta(g, closed.x_min)) + g * log_sum
+
+            gap = abs(neg_loglike(summed.gamma) - neg_loglike(closed.gamma))
+            assert gap <= 1e-11 * tail.size
