@@ -147,7 +147,6 @@ def test_out_of_core_scale_series(n, tmp_path, perf):
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    env.setdefault("REPRO_BACKEND", "csr")
     proc = subprocess.run(
         [sys.executable, "-c", _MEASURE_SCRIPT, str(path)],
         capture_output=True,

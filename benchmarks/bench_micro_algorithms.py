@@ -23,6 +23,7 @@ from repro.graph import (
 from repro.graph.correlations import degree_assortativity, knn_by_degree
 from repro.graph.shortest_paths import average_path_length, eccentricities
 from repro.stats import FenwickSampler, fit_powerlaw_auto_xmin
+from tests.graph.oracles import ORACLES, oracles_in_place
 
 
 @pytest.fixture(scope="module")
@@ -84,43 +85,48 @@ def test_micro_powerlaw_fit_2k(benchmark, ba_2k):
     assert 2.0 < fit.gamma < 4.0
 
 
-#: (label, callable(graph, backend), required speedup) for the CSR shoot-out.
-#: The ≥5x floors are the PR's acceptance bars on the two heaviest kernels;
-#: the remaining rows are recorded without a floor (tiny absolute times make
+#: (label, kernel, keyword arguments, required speedup) for the CSR
+#: shoot-out against the dict-walking oracles in tests/graph/oracles.py.
+#: The ≥5x floors are the acceptance bars on the two heaviest kernels; the
+#: remaining rows are recorded without a floor (tiny absolute times make
 #: their ratios noisy).
 _CSR_KERNELS = (
-    ("average_path_length", lambda g, b: average_path_length(g, backend=b), 5.0),
-    ("betweenness (exact)", lambda g, b: betweenness_centrality(g, backend=b), 5.0),
+    ("average_path_length", average_path_length, {}, 5.0),
+    ("betweenness (exact)", betweenness_centrality, {}, 5.0),
     (
         "betweenness (50 pivots)",
-        lambda g, b: approximate_betweenness(g, num_pivots=50, seed=2, backend=b),
+        approximate_betweenness,
+        {"num_pivots": 50, "seed": 2},
         None,
     ),
-    ("eccentricities", lambda g, b: eccentricities(g, backend=b), None),
-    ("triangles_per_node", lambda g, b: triangles_per_node(g, backend=b), None),
-    ("core_numbers", lambda g, b: core_numbers(g, backend=b), None),
-    ("rich_club_coefficient", lambda g, b: rich_club_coefficient(g, backend=b), None),
-    ("knn_by_degree", lambda g, b: knn_by_degree(g, backend=b), None),
-    ("degree_assortativity", lambda g, b: degree_assortativity(g, backend=b), None),
+    ("eccentricities", eccentricities, {}, None),
+    ("triangles_per_node", triangles_per_node, {}, None),
+    ("core_numbers", core_numbers, {}, None),
+    ("rich_club_coefficient", rich_club_coefficient, {}, None),
+    ("knn_by_degree", knn_by_degree, {}, None),
+    ("degree_assortativity", degree_assortativity, {}, None),
 )
 
 
 def test_micro_csr_kernel_speedups(record_text):
-    """Python vs CSR backend, per kernel, on one BA graph (n=3000).
+    """Oracle vs CSR kernel, per kernel, on one BA graph (n=3000).
 
-    Oracle first — both backends must return the same values — then the
+    Values first — each kernel must return its oracle's values — then the
     wall-clock table is written to ``output/csr_kernels.txt`` and the two
-    headline kernels are held to the ≥5x acceptance floor.
+    headline kernels are held to the ≥5x acceptance floor.  The oracle
+    column runs the kernel with every kernel it reaches swapped for its
+    oracle, the swap itself outside the timer.
     """
     graph = BarabasiAlbertGenerator(m=2).generate(3000, seed=1)
     rows = []
     floors = {}
-    for label, kernel, floor in _CSR_KERNELS:
+    for label, kernel, kwargs, floor in _CSR_KERNELS:
+        with oracles_in_place():
+            start = time.perf_counter()
+            python_value = ORACLES.get(kernel, kernel)(graph, **kwargs)
+            python_s = time.perf_counter() - start
         start = time.perf_counter()
-        python_value = kernel(graph, "python")
-        python_s = time.perf_counter() - start
-        start = time.perf_counter()
-        csr_value = kernel(graph, "csr")
+        csr_value = kernel(graph, **kwargs)
         csr_s = time.perf_counter() - start
         if isinstance(python_value, dict) and python_value and isinstance(
             next(iter(python_value.values())), float
@@ -136,7 +142,7 @@ def test_micro_csr_kernel_speedups(record_text):
         if floor is not None:
             floors[label] = (speedup, floor)
     table = format_table(
-        ["kernel", "python s", "csr s", "speedup"],
+        ["kernel", "oracle s", "csr s", "speedup"],
         rows,
         title="CSR kernel shoot-out (barabasi-albert m=2 n=3000 seed=1)",
     )

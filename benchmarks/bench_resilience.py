@@ -1,9 +1,11 @@
-"""Percolation-sweep shoot-out: python reference vs CSR fast path.
+"""Percolation-sweep shoot-out: reference sweeps vs the CSR kernels.
 
-One run per (strategy, backend) cell on a BA(m=2) graph at n = 3000,
-plus the sampled path-inflation sweep. Every timed pair is also an
-oracle: the backends must return bit-identical trajectories, so a
-timing run can never report a speedup for a divergent kernel. The
+Per strategy on a BA(m=2) graph at n = 3000, ``removal_sweep`` races
+``percolation_sweep``, and the dict-BFS oracle in
+tests/resilience/oracles.py races the sampled path-inflation sweep.
+Every timed pair is also an oracle check: the two must return
+bit-identical trajectories, so a timing run can never report a speedup
+for a divergent kernel. The
 table goes to ``output/resilience.txt``; the acceptance floor —
 median sweep speedup >= 3x — lives in ``perf_floors.json``
 (``resilience-median-speedup``) and is enforced against the published
@@ -20,7 +22,9 @@ from repro.resilience import (
     AttackStrategy,
     path_inflation_sweep,
     percolation_sweep,
+    removal_sweep,
 )
+from tests.resilience import oracles
 
 N = 3000
 
@@ -61,12 +65,10 @@ def test_resilience_sweep_speedups(perf, record_text):
 
     for strategy in SWEEP_STRATEGIES:
         python_run, python_s = _timed(
-            percolation_sweep, graph=graph, strategy=strategy, seed=2,
-            backend="python",
+            removal_sweep, graph=graph, strategy=strategy, seed=2,
         )
         csr_run, csr_s = _timed(
             percolation_sweep, graph=graph, strategy=strategy, seed=2,
-            backend="csr",
         )
         assert _trajectories_equal(python_run, csr_run), strategy
         speedup = python_s / csr_s
@@ -76,20 +78,18 @@ def test_resilience_sweep_speedups(perf, record_text):
         )
 
     python_inf, python_s = _timed(
-        path_inflation_sweep, graph=graph, seed=2, backend="python",
+        oracles.path_inflation_sweep, graph=graph, seed=2,
     )
-    csr_inf, csr_s = _timed(
-        path_inflation_sweep, graph=graph, seed=2, backend="csr",
-    )
+    csr_inf, csr_s = _timed(path_inflation_sweep, graph=graph, seed=2)
     assert _trajectories_equal(python_inf, csr_inf)
     rows.append(
         ["path_inflation_sweep", "random", python_s, csr_s, python_s / csr_s]
     )
 
     table = format_table(
-        ["kernel", "strategy", "python s", "csr s", "speedup"],
+        ["kernel", "strategy", "reference s", "csr s", "speedup"],
         rows,
-        title=f"resilience kernels: python vs csr (BA m=2, n={N}, seed=2)",
+        title=f"resilience kernels: reference vs csr (BA m=2, n={N}, seed=2)",
     )
     median = statistics.median(speedups.values())
     summary = (

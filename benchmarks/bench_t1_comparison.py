@@ -80,55 +80,3 @@ def test_t1_battery_cache_and_parallel_speedup(tmp_path, record_text):
     # Cold parallel speedup needs actual cores to show up.
     if (os.cpu_count() or 1) >= 4:
         assert parallel_speedup >= 2.0, parallel_speedup
-
-
-def test_t1_battery_csr_speedup(tmp_path, record_text):
-    """Full compare_models battery, python vs CSR: identical scores, ≥2x.
-
-    "Full" means no sampling shortcuts: ``path_sample_threshold`` is lifted
-    so the paths group runs exact all-source BFS — the workload the CSR
-    kernels exist for.  The reference map is prewarmed so neither timed run
-    pays its one-off construction, and each backend gets its own cold cache
-    (cells are backend-neutral by design, so a shared directory would let
-    the second run ride the first run's cells and time nothing).
-    """
-    from repro.core.battery import compare_models
-    from repro.datasets.asmap import reference_as_map
-    from repro.experiments.rosters import ROSTER_ORDER, standard_roster
-
-    roster = standard_roster(2000)
-    models = {name: roster[name] for name in ROSTER_ORDER}
-    kwargs = dict(n=2000, seeds=1, path_sample_threshold=10**9)
-    reference_as_map(2000)
-
-    start = time.perf_counter()
-    python_run = compare_models(
-        models, cache=str(tmp_path / "cache-py"), backend="python", **kwargs
-    )
-    python_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    csr_run = compare_models(
-        models, cache=str(tmp_path / "cache-csr"), backend="csr", **kwargs
-    )
-    csr_s = time.perf_counter() - start
-
-    # Oracle: the backend never changes a single reported score.
-    assert csr_run.ranking() == python_run.ranking()
-
-    speedup = python_s / csr_s
-    rows = [
-        ["python", python_s, 1.0],
-        ["csr", csr_s, speedup],
-    ]
-    table = format_table(
-        ["backend", "seconds", "speedup"],
-        rows,
-        title=f"Full battery backend wall clock (n={kwargs['n']}, "
-              f"seeds={kwargs['seeds']}, exact paths, "
-              f"{len(models)} models)",
-    )
-    print()
-    print(table)
-    record_text("csr_battery.txt", table)
-    assert speedup >= 2.0, speedup

@@ -144,7 +144,7 @@ def perf(request, output_dir, perf_floors, bench_environment):
         values={key: float(value) for key, value in capture.values.items()},
         wall_seconds=wall,
         peak_rss_kb=peak_rss_kb(),
-        backend=os.environ.get("REPRO_BACKEND", "auto"),
+        backend="csr",
         engine=os.environ.get("REPRO_ENGINE", "auto"),
         cache=cache,
         metrics=delta,

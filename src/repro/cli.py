@@ -120,11 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     summ = sub.add_parser("summarize", help="metric battery on an edge-list file")
     summ.add_argument("path", help="edge-list file")
-    summ.add_argument(
-        "--backend", default="auto", choices=("auto", "python", "csr"),
-        help="metric kernel backend (values are identical; csr is the "
-        "numpy fast path, auto picks by graph size)",
-    )
 
     cmp_cmd = sub.add_parser("compare", help="model vs reference AS map")
     cmp_cmd.add_argument("model", help="registry name")
@@ -301,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--journal", default=None, metavar="PATH",
                                 help="append a JSONL service journal")
         sub_parser.add_argument(
-            "--backend", default="auto", choices=("auto", "python", "csr")
-        )
-        sub_parser.add_argument(
             "--engine", default="auto", choices=("auto", "python", "vector")
         )
         sub_parser.add_argument(
@@ -408,11 +400,6 @@ def _add_battery_flags(parser: argparse.ArgumentParser) -> None:
         help="cProfile every work unit into DIR and print merged hotspots",
     )
     parser.add_argument(
-        "--backend", default="auto", choices=("auto", "python", "csr"),
-        help="metric kernel backend (values are identical; csr is the "
-        "numpy fast path, auto picks by graph size)",
-    )
-    parser.add_argument(
         "--engine", default="auto", choices=("auto", "python", "vector"),
         help="growth-kernel engine for the roster's generators (vector is "
         "the batch fast path; auto picks by target size)",
@@ -503,7 +490,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "summarize":
         graph = read_edge_list(args.path)
-        summary = summarize(graph, backend=args.backend)
+        summary = summarize(graph)
         rows = sorted(summary.as_dict().items())
         print(format_table(["metric", "value"], rows, title=summary.name))
         return 0
@@ -540,7 +527,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             retries=args.retries,
             journal=args.journal,
             profile_dir=args.profile_dir,
-            backend=args.backend,
             transport=args.transport,
         )
         rows = [[model, mean] for model, mean in result.ranking()]
@@ -585,8 +571,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             params.setdefault("journal", args.journal)
         if "profile_dir" in accepted and args.profile_dir is not None:
             params.setdefault("profile_dir", args.profile_dir)
-        if "backend" in accepted and args.backend != "auto":
-            params.setdefault("backend", args.backend)
         if "engine" in accepted and args.engine != "auto":
             params.setdefault("engine", args.engine)
         if "transport" in accepted and args.transport != "auto":
@@ -615,7 +599,6 @@ def _serve_dispatcher(args):
         root=args.root,
         queue_limit=args.queue_limit,
         journal=args.journal,
-        backend=args.backend,
         engine=args.engine,
         unit_timeout=args.timeout,
     )

@@ -1037,7 +1037,6 @@ def run_battery(
     path_sample_threshold: int = SUMMARIZE_DEFAULTS["path_sample_threshold"],
     path_samples: int = SUMMARIZE_DEFAULTS["path_samples"],
     min_tail: int = SUMMARIZE_DEFAULTS["min_tail"],
-    backend: str = "auto",
     transport: str = "auto",
     mp_context=None,
 ) -> BatteryResult:
@@ -1070,12 +1069,6 @@ def run_battery(
     counter deltas land in :attr:`BatteryResult.metrics` and reconcile
     with the returned records at any *jobs* value.
 
-    *backend* picks the metric-kernel implementation
-    (``auto``/``python``/``csr``, see :mod:`repro.graph.csr`).  Both
-    backends produce identical values, so the choice is deliberately
-    excluded from cache keys: cells computed on one backend satisfy runs
-    on the other.
-
     *transport* picks how topologies reach their metric computations
     (``auto``/``regenerate``/``shared``, env ``REPRO_TRANSPORT``; see
     :mod:`repro.core.transport`).  Under ``shared``, each (model, seed)
@@ -1083,12 +1076,11 @@ def run_battery(
     zero-copy snapshot — spooled beside the cell store when one is in
     play (:func:`cell_spool`), so later runs and the service attach
     instead of regenerating — and each pending metric group runs as an
-    independent unit attaching read-only.  Like *backend*, the transport
-    is a pure scheduling choice: summaries are bit-identical and cache
-    cells carry no trace of it.  *mp_context* pins the worker pools'
-    multiprocessing start method (``fork``/``spawn``/``forkserver`` or a
-    context object, env ``REPRO_MP_START``; default: the platform
-    default).
+    independent unit attaching read-only.  The transport is a pure
+    scheduling choice: summaries are bit-identical and cache cells carry
+    no trace of it.  *mp_context* pins the worker pools' multiprocessing
+    start method (``fork``/``spawn``/``forkserver`` or a context object,
+    env ``REPRO_MP_START``; default: the platform default).
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -1133,7 +1125,6 @@ def run_battery(
         "path_sample_threshold": path_sample_threshold,
         "path_samples": path_samples,
         "min_tail": min_tail,
-        "backend": backend,
     }
     obs = {"trace": trc.enabled, "profile_dir": profile_dir}
 
@@ -1373,7 +1364,6 @@ def compare_models(
     path_sample_threshold: int = SUMMARIZE_DEFAULTS["path_sample_threshold"],
     path_samples: int = SUMMARIZE_DEFAULTS["path_samples"],
     min_tail: int = SUMMARIZE_DEFAULTS["min_tail"],
-    backend: str = "auto",
     transport: str = "auto",
     mp_context=None,
 ) -> ComparisonBattery:
@@ -1401,7 +1391,6 @@ def compare_models(
         "path_sample_threshold": path_sample_threshold,
         "path_samples": path_samples,
         "min_tail": min_tail,
-        "backend": backend,
     }
     with _ambient_obs(trc), trc.span(
         "compare", models=len(_normalize_models(models)), n=n, seeds=seeds

@@ -208,15 +208,12 @@ def summarize(
     path_samples: int = 400,
     min_tail: int = 50,
     seed: SeedLike = 0,
-    backend: str = "auto",
 ) -> TopologySummary:
     """Run the full scalar battery on *graph*.
 
     Above *path_sample_threshold* nodes, path lengths use *path_samples*
     BFS roots (seeded, so summaries are reproducible).  The power-law fit
     needs at least *min_tail* tail samples, else the exponent is NaN.
-    *backend* selects the kernel implementation (``auto``/``python``/
-    ``csr``); both backends produce identical values.
     """
     values = compute_metric_groups(
         graph,
@@ -225,7 +222,6 @@ def summarize(
         path_samples=path_samples,
         min_tail=min_tail,
         seed=seed,
-        backend=backend,
     )
     merged: Dict[str, float] = {}
     for group_values in values.values():
@@ -257,20 +253,20 @@ def _group_tail(gc: Graph, min_tail: int = 50, **_) -> Dict[str, float]:
     return {"degree_exponent": gamma, "degree_exponent_sigma": gamma_sigma}
 
 
-def _group_clustering(gc: Graph, backend: str = "auto", **_) -> Dict[str, float]:
+def _group_clustering(gc: Graph, **_) -> Dict[str, float]:
     return {
-        "average_clustering": average_clustering(gc, backend=backend),
-        "transitivity": transitivity(gc, backend=backend),
-        "triangles": total_triangles(gc, backend=backend),
+        "average_clustering": average_clustering(gc),
+        "transitivity": transitivity(gc),
+        "triangles": total_triangles(gc),
     }
 
 
-def _group_mixing(gc: Graph, backend: str = "auto", **_) -> Dict[str, float]:
-    return {"assortativity": degree_assortativity(gc, backend=backend)}
+def _group_mixing(gc: Graph, **_) -> Dict[str, float]:
+    return {"assortativity": degree_assortativity(gc)}
 
 
-def _group_core(gc: Graph, backend: str = "auto", **_) -> Dict[str, float]:
-    return {"degeneracy": degeneracy(gc, backend=backend)}
+def _group_core(gc: Graph, **_) -> Dict[str, float]:
+    return {"degeneracy": degeneracy(gc)}
 
 
 def _group_paths(
@@ -278,19 +274,14 @@ def _group_paths(
     path_sample_threshold: int = 1500,
     path_samples: int = 400,
     seed: SeedLike = 0,
-    backend: str = "auto",
     **_,
 ) -> Dict[str, float]:
     max_sources = None if gc.num_nodes <= path_sample_threshold else path_samples
-    paths = path_length_distribution(
-        gc, max_sources=max_sources, seed=seed, backend=backend
-    )
+    paths = path_length_distribution(gc, max_sources=max_sources, seed=seed)
     return {"average_path_length": paths.mean}
 
 
-def _group_robustness(
-    gc: Graph, seed: SeedLike = 0, backend: str = "auto", **_
-) -> Dict[str, float]:
+def _group_robustness(gc: Graph, seed: SeedLike = 0, **_) -> Dict[str, float]:
     """The T5 behavioral bundle, measured on the giant component.
 
     Lazy import: ``repro.resilience`` pulls in the sweep kernels, which the
@@ -299,7 +290,7 @@ def _group_robustness(
     from ..analysis.percolation import critical_failure_fraction
     from ..resilience.sweep import robustness_summary
 
-    values = robustness_summary(gc, seed=seed, backend=backend)
+    values = robustness_summary(gc, seed=seed)
     try:
         values["molloy_reed_fc"] = critical_failure_fraction(gc)
     except ValueError:
@@ -335,11 +326,11 @@ def compute_metric_groups(
     a caller holding cached values for some groups only pays for the missing
     ones.  ``summarize`` is exactly the merge of all groups.
 
-    *backend* selects the kernel implementation for every group
-    (``auto``/``python``/``csr``).  It is resolved once against the giant
-    component's size so every group runs on the same backend, which is
-    recorded on each ``metric.<group>`` tracing span.  Values are identical
-    across backends, so the choice never affects results (or cache keys).
+    *backend* is accepted only for perfbench's world-store check, which
+    still passes ``backend="python"``: the name is validated by
+    :func:`repro.graph.csr.resolve_backend` and otherwise ignored, since
+    every kernel runs on the CSR view.  It goes once a benchmark change
+    drops that argument.
 
     With ``with_timings=True`` the return value is a ``(values, timings)``
     pair where ``timings`` maps each group to the wall seconds its own
@@ -347,6 +338,7 @@ def compute_metric_groups(
     ``timings["giant"]``) — the real numbers behind the battery telemetry
     table, not an even split of the total.
     """
+    resolve_backend(backend)
     unknown = [g for g in groups if g not in _GROUP_FUNCTIONS]
     if unknown:
         known = ", ".join(sorted(_GROUP_FUNCTIONS))
@@ -355,16 +347,15 @@ def compute_metric_groups(
     original_n = graph.num_nodes
     giant_started = time.perf_counter()
     with tracer.span("giant", n=original_n):
-        gc = giant_component(graph, backend=backend)
+        gc = giant_component(graph)
     giant_seconds = time.perf_counter() - giant_started
     if gc.num_nodes == 0:
         raise ValueError("cannot summarize an empty graph")
-    resolved = resolve_backend(backend, gc.num_nodes)
     out: Dict[str, Dict[str, float]] = {}
     timings: Dict[str, float] = {"giant": giant_seconds}
     for group in groups:
         group_started = time.perf_counter()
-        with tracer.span(f"metric.{group}", n=gc.num_nodes, backend=resolved):
+        with tracer.span(f"metric.{group}", n=gc.num_nodes):
             out[group] = _GROUP_FUNCTIONS[group](
                 gc,
                 original_n=original_n,
@@ -372,7 +363,6 @@ def compute_metric_groups(
                 path_samples=path_samples,
                 min_tail=min_tail,
                 seed=seed,
-                backend=resolved,
             )
         timings[group] = time.perf_counter() - group_started
     get_registry().counter("metrics.groups.computed").inc(len(tuple(groups)))

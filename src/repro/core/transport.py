@@ -25,8 +25,8 @@ topology from *measuring* it:
   mid-publish never leaks half-written snapshots past a pool rebuild.
 
 :func:`resolve_transport` centralizes the battery's transport choice
-(``auto`` | ``regenerate`` | ``shared``), mirroring the PR 4/PR 5
-``backend``/``engine`` contract: an explicit argument always wins,
+(``auto`` | ``regenerate`` | ``shared``), mirroring the generators'
+``engine`` contract: an explicit argument always wins,
 ``auto`` consults the ``REPRO_TRANSPORT`` environment variable, and
 otherwise shares at or above :data:`AUTO_SHARED_NODES` nodes when at
 least :data:`AUTO_SHARED_GROUPS` metric groups ride on each replicate
@@ -254,7 +254,7 @@ def materialize_view(
     algorithms that walk or sample the node list (path sampling, victim
     orders) behave bit-identically on the rebuilt graph.  The view is
     pre-seeded as the graph's cached CSR view (its arrays are what a
-    rebuild would produce, row-sorted), so CSR-backend kernels run on the
+    rebuild would produce, row-sorted), so the metric kernels run on the
     shared pages directly; a known *fingerprint* is pre-seeded too,
     making cache probes on the attached graph a dict lookup.
     """

@@ -14,7 +14,7 @@ whose generation or sweep raises costs only its own row (reported in a
 failed-units table), never the experiment.  The per-model trajectory
 series are then swept directly at this experiment's own
 *max_fraction*/*steps* resolution via :func:`repro.resilience.sweep.
-percolation_sweep` on the selected *backend*.
+percolation_sweep`.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ def run_a3(
     retries: int = 0,
     journal: Optional[str] = None,
     profile_dir: Optional[str] = None,
-    backend: str = "auto",
     transport: str = "auto",
 ) -> ExperimentResult:
     """Random vs targeted removal sweeps per model.
@@ -90,24 +89,23 @@ def run_a3(
             retries=retries,
             journal=journal,
             profile_dir=profile_dir,
-            backend=backend,
             transport=transport,
         )
     with stage("A3", "reference", n=n):
         reference_graph = reference_as_map(n)
         reference_values = compute_metric_groups(
-            reference_graph, ("robustness",), seed=0, backend=backend
+            reference_graph, ("robustness",), seed=0
         )["robustness"]
 
     def add_series(name, graph):
-        gc = giant_component(graph, backend=backend)
+        gc = giant_component(graph)
         random_run = percolation_sweep(
             gc, AttackStrategy.RANDOM, max_fraction=max_fraction,
-            steps=steps, seed=seed, backend=backend,
+            steps=steps, seed=seed,
         )
         attack_run = percolation_sweep(
             gc, AttackStrategy.DEGREE, max_fraction=max_fraction,
-            steps=steps, seed=seed, backend=backend,
+            steps=steps, seed=seed,
         )
         result.add_series(f"{name} random (removed, giant)", random_run.as_points())
         result.add_series(f"{name} targeted (removed, giant)", attack_run.as_points())

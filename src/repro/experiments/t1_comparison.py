@@ -37,7 +37,6 @@ def run_t1(
     retries: int = 0,
     journal: Optional[str] = None,
     profile_dir: Optional[str] = None,
-    backend: str = "auto",
     transport: str = "auto",
 ) -> ExperimentResult:
     """Score every roster model against the reference map.
@@ -46,12 +45,10 @@ def run_t1(
     a unit that still fails is recorded (failure table + notes) and its
     model is scored over the surviving replicates rather than aborting
     the whole comparison.  *journal* appends a JSONL event log of the run.
-    *backend* selects the metric kernels (``auto``/``python``/``csr``);
-    every reported number is identical across backends.  *transport*
-    selects how topologies reach the metric workers
+    *transport* selects how topologies reach the metric workers
     (``auto``/``regenerate``/``shared``, see
-    :mod:`repro.core.transport`); numbers are identical across transports
-    too.
+    :mod:`repro.core.transport`); numbers are identical across
+    transports.
     """
     result = ExperimentResult(
         experiment_id="T1",
@@ -71,7 +68,6 @@ def run_t1(
             retries=retries,
             journal=journal,
             profile_dir=profile_dir,
-            backend=backend,
             transport=transport,
         )
     reference_summary = comparison.target

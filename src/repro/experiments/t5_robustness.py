@@ -15,10 +15,9 @@ first ~10–20% of removals) and rank well; ER/Waxman degrade gracefully
 under both — robust where the map is fragile, which is still a mismatch —
 and rank poorly despite their "good" attack survival.
 
-The sweeps run on the backend chosen by ``backend`` (``csr`` is the
-reverse union-find fast path; values are bit-identical either way, so
-cached cells are backend-neutral), and ``engine`` picks the generators'
-growth kernel exactly as in T1.
+The percolation sweeps run as reverse union-find over each topology's
+CSR view, and ``engine`` picks the generators' growth kernel exactly as
+in T1.
 """
 
 from __future__ import annotations
@@ -118,7 +117,6 @@ def run_t5(
     retries: int = 0,
     journal: Optional[str] = None,
     profile_dir: Optional[str] = None,
-    backend: str = "auto",
     engine: str = "auto",
     transport: str = "auto",
 ) -> ExperimentResult:
@@ -128,8 +126,7 @@ def run_t5(
     units over worker processes, *cache_dir* makes every robustness cell
     content-addressed and reusable, *timeout*/*retries* contain and re-try
     failing units (a dead unit is reported, not fatal), *journal* appends
-    the JSONL event log.  Results are bit-identical for every combination
-    and for both backends.
+    the JSONL event log.  Results are bit-identical for every combination.
     """
     result = ExperimentResult(
         experiment_id="T5",
@@ -140,7 +137,7 @@ def run_t5(
         generator.engine = engine
     with stage("T5", "reference", n=n):
         reference = compute_metric_groups(
-            reference_as_map(n), ("robustness",), seed=0, backend=backend
+            reference_as_map(n), ("robustness",), seed=0
         )["robustness"]
     with stage("T5", "battery", n=n, seeds=seeds, jobs=jobs):
         battery = run_battery(
@@ -155,7 +152,6 @@ def run_t5(
             retries=retries,
             journal=journal,
             profile_dir=profile_dir,
-            backend=backend,
             transport=transport,
         )
 

@@ -1,8 +1,6 @@
 """Engine selection for the generator layer.
 
-Mirrors the metric kernels' ``backend=`` contract (:mod:`repro.graph.csr`)
-one layer up: every engine-sensitive generator takes an ``engine``
-argument —
+Every engine-sensitive generator takes an ``engine`` argument —
 
 * ``"python"`` — the original scalar growth loop, the reference
   implementation whose draw sequence is the seed contract;

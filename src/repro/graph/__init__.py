@@ -29,7 +29,7 @@ from .correlations import (
     knn_spectrum,
     normalized_knn_spectrum,
 )
-from .csr import BACKENDS, CSRView, resolve_backend
+from .csr import CSRView
 from .cycles import adjacency_matrix, count_cycles, cycle_counts_3_4_5
 from .graph import Graph
 from .io import (
@@ -80,8 +80,6 @@ from .traversal import (
 __all__ = [
     "Graph",
     "CSRView",
-    "BACKENDS",
-    "resolve_backend",
     "bfs_distances",
     "bfs_tree",
     "connected_components",

@@ -10,45 +10,16 @@ unbiased estimator of the exact values.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import Dict, Hashable, Sequence
 
 import numpy as np
 
 from ..stats.rng import SeedLike, make_rng
-from .csr import resolve_backend
 from .graph import Graph
 
 __all__ = ["betweenness_centrality", "approximate_betweenness"]
 
 Node = Hashable
-
-
-def _accumulate_from_source(graph: Graph, source: Node, scores: Dict[Node, float]) -> None:
-    """One Brandes source iteration: BFS + dependency back-propagation."""
-    sigma: Dict[Node, float] = {source: 1.0}
-    distance: Dict[Node, int] = {source: 0}
-    predecessors: Dict[Node, List[Node]] = {source: []}
-    order: List[Node] = []
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in graph.neighbors(u):
-            if v not in distance:
-                distance[v] = distance[u] + 1
-                sigma[v] = 0.0
-                predecessors[v] = []
-                queue.append(v)
-            if distance[v] == distance[u] + 1:
-                sigma[v] += sigma[u]
-                predecessors[v].append(u)
-    delta: Dict[Node, float] = {u: 0.0 for u in order}
-    for u in reversed(order):
-        for p in predecessors[u]:
-            delta[p] += sigma[p] / sigma[u] * (1.0 + delta[u])
-        if u != source:
-            scores[u] += delta[u]
 
 
 #: Sources per batched-Brandes chunk; bounds the dense (n, batch) workspaces.
@@ -64,8 +35,9 @@ def _accumulate_csr(graph: Graph, sources: Sequence[Node]) -> np.ndarray:
     level propagating the dependencies delta backward — the per-level
     array overhead is amortized over the batch instead of paid per
     source.  Sigma values are integer path counts (exact in float64);
-    delta accumulates floats in a different order than the dict
-    reference, so scores agree to ~1e-12 relative, not bit-for-bit.
+    delta accumulates floats in a different order than a one-source-at-
+    a-time dict Brandes, so scores agree with it to ~1e-12 relative, not
+    bit-for-bit.
     """
     view = graph.csr()
     n = view.num_nodes
@@ -108,28 +80,19 @@ def _accumulate_csr(graph: Graph, sources: Sequence[Node]) -> np.ndarray:
             contrib = (adjacency @ ratio) * sigma
             delta += np.where(distances == level - 1, contrib, 0.0)
         scores += delta.sum(axis=1)
-        # The python reference never credits a source with its own delta.
+        # Brandes never credits a source with its own delta.
         np.subtract.at(scores, chunk, delta[chunk, cols])
     return scores
 
 
-def _scored(graph: Graph, sources: Sequence[Node], scale: float, backend: str):
-    """Run Brandes from *sources* on the selected backend, scaled."""
-    if resolve_backend(backend, graph.num_nodes) == "csr":
-        raw = _accumulate_csr(graph, sources)
-        view = graph.csr()
-        return {
-            node: float(raw[i]) * scale for i, node in enumerate(view.nodes)
-        }
-    scores: Dict[Node, float] = {node: 0.0 for node in graph.nodes()}
-    for source in sources:
-        _accumulate_from_source(graph, source, scores)
-    return {node: score * scale for node, score in scores.items()}
+def _scored(graph: Graph, sources: Sequence[Node], scale: float) -> Dict[Node, float]:
+    """Run Brandes from *sources* on the CSR view, scaled."""
+    raw = _accumulate_csr(graph, sources)
+    view = graph.csr()
+    return {node: float(raw[i]) * scale for i, node in enumerate(view.nodes)}
 
 
-def betweenness_centrality(
-    graph: Graph, normalized: bool = True, backend: str = "auto"
-) -> Dict[Node, float]:
+def betweenness_centrality(graph: Graph, normalized: bool = True) -> Dict[Node, float]:
     """Exact Freeman betweenness of every node (Brandes' algorithm).
 
     Undirected convention: raw pair counts are halved; with *normalized*
@@ -140,7 +103,7 @@ def betweenness_centrality(
     scale = 0.5
     if normalized and n > 2:
         scale /= (n - 1) * (n - 2) / 2.0
-    return _scored(graph, list(graph.nodes()), scale, backend)
+    return _scored(graph, list(graph.nodes()), scale)
 
 
 def approximate_betweenness(
@@ -148,15 +111,14 @@ def approximate_betweenness(
     num_pivots: int,
     seed: SeedLike = None,
     normalized: bool = True,
-    backend: str = "auto",
 ) -> Dict[Node, float]:
     """Pivot-sampled betweenness (Brandes–Pich estimator).
 
     Runs Brandes accumulation from *num_pivots* uniformly sampled sources
     and rescales by ``N / num_pivots``, giving an unbiased estimate of the
     exact score.  Matches :func:`betweenness_centrality` exactly when
-    ``num_pivots >= N``.  Pivots are sampled in node-id space before the
-    backend split, so both backends estimate from the same sources.
+    ``num_pivots >= N``.  Pivots are sampled from the node ids in graph
+    iteration order, so a seed always names the same sources.
     """
     nodes = list(graph.nodes())
     if not nodes:
@@ -164,11 +126,11 @@ def approximate_betweenness(
     if num_pivots <= 0:
         raise ValueError("num_pivots must be positive")
     if num_pivots >= len(nodes):
-        return betweenness_centrality(graph, normalized=normalized, backend=backend)
+        return betweenness_centrality(graph, normalized=normalized)
     rng = make_rng(seed)
     pivots = rng.sample(nodes, num_pivots)
     n = len(nodes)
     scale = 0.5 * n / num_pivots
     if normalized and n > 2:
         scale /= (n - 1) * (n - 2) / 2.0
-    return _scored(graph, pivots, scale, backend)
+    return _scored(graph, pivots, scale)

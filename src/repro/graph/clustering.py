@@ -14,7 +14,6 @@ from typing import Dict, Hashable, List, Tuple
 import numpy as np
 
 from ..stats.distributions import binned_spectrum
-from .csr import resolve_backend
 from .graph import Graph
 
 __all__ = [
@@ -48,64 +47,24 @@ def _triangle_array_csr(graph: Graph) -> np.ndarray:
     return doubled // 2
 
 
-def triangles_per_node(graph: Graph, backend: str = "auto") -> Dict[Node, int]:
-    """Number of triangles through each node.
-
-    Neighbor-intersection counting: for each node, intersect the adjacency
-    sets of neighbor pairs via hash lookups, iterating the smaller side.
-    O(sum_e min(d_u, d_v)) overall.  The CSR backend computes the same
-    integer counts via sparse-matrix intersection.
-    """
-    if resolve_backend(backend, graph.num_nodes) == "csr":
-        per_position = _triangle_array_csr(graph)
-        return {
-            node: int(per_position[i])
-            for i, node in enumerate(graph.csr().nodes)
-        }
-    counts: Dict[Node, int] = {node: 0 for node in graph.nodes()}
-    adj = {node: graph.neighbor_weights(node) for node in graph.nodes()}
-    for u in graph.nodes():
-        nbrs_u = adj[u]
-        for v in nbrs_u:
-            if not _ordered_before(u, v):
-                continue
-            # Iterate the smaller adjacency to bound the intersection cost.
-            small, large = (nbrs_u, adj[v]) if len(nbrs_u) <= len(adj[v]) else (adj[v], nbrs_u)
-            for w in small:
-                if w != u and w != v and w in large and _ordered_before(v, w):
-                    counts[u] += 1
-                    counts[v] += 1
-                    counts[w] += 1
-    return counts
+def triangles_per_node(graph: Graph) -> Dict[Node, int]:
+    """Number of triangles through each node (exact integer counts via
+    the sparse-matrix intersection of :func:`_triangle_array_csr`)."""
+    per_position = _triangle_array_csr(graph)
+    return {node: int(per_position[i]) for i, node in enumerate(graph.csr().nodes)}
 
 
-def _ordered_before(a: Node, b: Node) -> bool:
-    """Stable ordering for arbitrary hashable ids (id() fallback for
-    non-comparable mixes); node ids within one graph are homogeneous in
-    practice, so the common path is a plain ``<``."""
-    try:
-        return a < b  # type: ignore[operator]
-    except TypeError:
-        return id(a) < id(b)
-
-
-def total_triangles(graph: Graph, backend: str = "auto") -> int:
+def total_triangles(graph: Graph) -> int:
     """Total number of distinct triangles in the graph."""
-    if resolve_backend(backend, graph.num_nodes) == "csr":
-        return int(_triangle_array_csr(graph).sum()) // 3
-    return sum(triangles_per_node(graph, backend="python").values()) // 3
+    return int(_triangle_array_csr(graph).sum()) // 3
 
 
-def local_clustering(graph: Graph, backend: str = "auto") -> Dict[Node, float]:
+def local_clustering(graph: Graph) -> Dict[Node, float]:
     """Watts–Strogatz local clustering coefficient per node.
 
     ``c_i = 2 T_i / (k_i (k_i - 1))``; nodes of degree < 2 get 0.
-
-    Both backends evaluate the identical float expression from identical
-    integer triangle counts in the same node order, so the values are
-    bit-for-bit equal.
     """
-    triangles = triangles_per_node(graph, backend=backend)
+    triangles = triangles_per_node(graph)
     out: Dict[Node, float] = {}
     for node in graph.nodes():
         k = graph.degree(node)
@@ -116,16 +75,14 @@ def local_clustering(graph: Graph, backend: str = "auto") -> Dict[Node, float]:
     return out
 
 
-def average_clustering(
-    graph: Graph, count_low_degree: bool = True, backend: str = "auto"
-) -> float:
+def average_clustering(graph: Graph, count_low_degree: bool = True) -> float:
     """Mean of the local clustering coefficients.
 
     With ``count_low_degree`` False, degree-0/1 nodes are excluded from the
     average instead of contributing zeros (both conventions appear in the
     literature; the AS-map papers typically include them).
     """
-    local = local_clustering(graph, backend=backend)
+    local = local_clustering(graph)
     if count_low_degree:
         values = list(local.values())
     else:
@@ -135,18 +92,18 @@ def average_clustering(
     return sum(values) / len(values)
 
 
-def transitivity(graph: Graph, backend: str = "auto") -> float:
+def transitivity(graph: Graph) -> float:
     """Global transitivity: 3 × triangles / connected triples."""
-    triangles = total_triangles(graph, backend=backend)
+    triangles = total_triangles(graph)
     triples = sum(k * (k - 1) // 2 for k in graph.degrees().values())
     if triples == 0:
         return 0.0
     return 3.0 * triangles / triples
 
 
-def clustering_by_degree(graph: Graph, backend: str = "auto") -> Dict[int, float]:
+def clustering_by_degree(graph: Graph) -> Dict[int, float]:
     """Mean local clustering of nodes at each exact degree k >= 2."""
-    local = local_clustering(graph, backend=backend)
+    local = local_clustering(graph)
     sums: Dict[int, List[float]] = {}
     for node, c in local.items():
         k = graph.degree(node)
@@ -159,10 +116,9 @@ def clustering_spectrum(
     graph: Graph,
     log_bins: bool = True,
     bins_per_decade: int = 10,
-    backend: str = "auto",
 ) -> List[Tuple[float, float]]:
     """The c(k) spectrum: mean clustering vs degree, log-binned by default."""
-    local = local_clustering(graph, backend=backend)
+    local = local_clustering(graph)
     pairs = [
         (float(graph.degree(node)), c)
         for node, c in local.items()

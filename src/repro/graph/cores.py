@@ -17,7 +17,6 @@ from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
 
-from .csr import resolve_backend
 from .graph import Graph
 
 __all__ = ["core_numbers", "k_core", "CoreProfile", "core_profile", "degeneracy"]
@@ -25,11 +24,13 @@ __all__ = ["core_numbers", "k_core", "CoreProfile", "core_profile", "degeneracy"
 Node = Hashable
 
 
-def _core_numbers_csr(graph: Graph) -> Dict[Node, int]:
-    """Bucket peeling on the CSR view: whole degree-≤k shells are peeled
-    per pass with array masks, and the neighbor-degree decrements land via
-    one ``np.bincount`` per cascade step.  Coreness is unique, so this
-    agrees with the dict implementation exactly."""
+def core_numbers(graph: Graph) -> Dict[Node, int]:
+    """Coreness of every node via bucket peeling on the CSR view.
+
+    Whole degree-≤k shells are peeled per pass with array masks, and the
+    neighbor-degree decrements land via one ``np.bincount`` per cascade
+    step.
+    """
     view = graph.csr()
     n = view.num_nodes
     if n == 0:
@@ -55,52 +56,17 @@ def _core_numbers_csr(graph: Graph) -> Dict[Node, int]:
     return {node: int(core[i]) for i, node in enumerate(view.nodes)}
 
 
-def core_numbers(graph: Graph, backend: str = "auto") -> Dict[Node, int]:
-    """Coreness of every node via bucket peeling."""
-    if resolve_backend(backend, graph.num_nodes) == "csr":
-        return _core_numbers_csr(graph)
-    degrees = dict(graph.degrees())
-    if not degrees:
-        return {}
-    max_degree = max(degrees.values())
-    # Bucket nodes by current degree.
-    buckets: List[List[Node]] = [[] for _ in range(max_degree + 1)]
-    for node, k in degrees.items():
-        buckets[k].append(node)
-    core: Dict[Node, int] = {}
-    current = 0
-    remaining = dict(degrees)
-    removed = set()
-    for k in range(max_degree + 1):
-        bucket = buckets[k]
-        while bucket:
-            node = bucket.pop()
-            if node in removed or remaining[node] != k:
-                continue  # stale entry: the node moved buckets already
-            current = max(current, k)
-            core[node] = current
-            removed.add(node)
-            for nbr in graph.neighbors(node):
-                if nbr in removed:
-                    continue
-                d = remaining[nbr]
-                if d > k:
-                    remaining[nbr] = d - 1
-                    buckets[d - 1].append(nbr)
-    return core
-
-
-def k_core(graph: Graph, k: int, backend: str = "auto") -> Graph:
+def k_core(graph: Graph, k: int) -> Graph:
     """Subgraph induced on nodes of coreness >= k."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    cores = core_numbers(graph, backend=backend)
+    cores = core_numbers(graph)
     return graph.subgraph(node for node, c in cores.items() if c >= k)
 
 
-def degeneracy(graph: Graph, backend: str = "auto") -> int:
+def degeneracy(graph: Graph) -> int:
     """Maximum coreness over all nodes (0 on an empty graph)."""
-    cores = core_numbers(graph, backend=backend)
+    cores = core_numbers(graph)
     return max(cores.values()) if cores else 0
 
 
@@ -123,9 +89,9 @@ class CoreProfile:
         return [(k, self.shell_sizes.get(k, 0), self.core_sizes.get(k, 0)) for k in ks]
 
 
-def core_profile(graph: Graph, backend: str = "auto") -> CoreProfile:
+def core_profile(graph: Graph) -> CoreProfile:
     """Compute the full shell/core size profile of *graph*."""
-    cores = core_numbers(graph, backend=backend)
+    cores = core_numbers(graph)
     shell_sizes: Dict[int, int] = {}
     for c in cores.values():
         shell_sizes[c] = shell_sizes.get(c, 0) + 1

@@ -15,7 +15,6 @@ from typing import Dict, Hashable, List, Tuple
 import numpy as np
 
 from ..stats.distributions import binned_spectrum
-from .csr import resolve_backend
 from .graph import Graph
 
 __all__ = [
@@ -29,38 +28,28 @@ __all__ = [
 Node = Hashable
 
 
-def average_neighbor_degree(graph: Graph, backend: str = "auto") -> Dict[Node, float]:
+def average_neighbor_degree(graph: Graph) -> Dict[Node, float]:
     """Mean degree of each node's neighbors (0 for isolated nodes).
 
-    The CSR backend sums neighbor degrees with one ``np.bincount`` over the
-    flat adjacency; the sums are integer-valued (exact in float64), so both
-    backends divide identical numerators by identical degrees.
+    Neighbor degrees are summed with one ``np.bincount`` over the flat CSR
+    adjacency; the sums are integer-valued, so exact in float64.
     """
-    if resolve_backend(backend, graph.num_nodes) == "csr":
-        view = graph.csr()
-        n = view.num_nodes
-        degrees = view.degrees
-        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        sums = np.bincount(
-            rows, weights=degrees[view.indices].astype(np.float64), minlength=n
-        )
-        return {
-            node: (float(sums[i]) / int(degrees[i]) if degrees[i] else 0.0)
-            for i, node in enumerate(view.nodes)
-        }
-    out: Dict[Node, float] = {}
-    for node in graph.nodes():
-        k = graph.degree(node)
-        if k == 0:
-            out[node] = 0.0
-            continue
-        out[node] = sum(graph.degree(v) for v in graph.neighbors(node)) / k
-    return out
+    view = graph.csr()
+    n = view.num_nodes
+    degrees = view.degrees
+    rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    sums = np.bincount(
+        rows, weights=degrees[view.indices].astype(np.float64), minlength=n
+    )
+    return {
+        node: (float(sums[i]) / int(degrees[i]) if degrees[i] else 0.0)
+        for i, node in enumerate(view.nodes)
+    }
 
 
-def knn_by_degree(graph: Graph, backend: str = "auto") -> Dict[int, float]:
+def knn_by_degree(graph: Graph) -> Dict[int, float]:
     """k̄_nn(k): mean neighbor degree averaged over nodes of exact degree k."""
-    per_node = average_neighbor_degree(graph, backend=backend)
+    per_node = average_neighbor_degree(graph)
     sums: Dict[int, List[float]] = {}
     for node, knn in per_node.items():
         k = graph.degree(node)
@@ -73,10 +62,9 @@ def knn_spectrum(
     graph: Graph,
     log_bins: bool = True,
     bins_per_decade: int = 10,
-    backend: str = "auto",
 ) -> List[Tuple[float, float]]:
     """k̄_nn(k) as a log-binned spectrum for plotting/reporting."""
-    per_node = average_neighbor_degree(graph, backend=backend)
+    per_node = average_neighbor_degree(graph)
     pairs = [
         (float(graph.degree(node)), knn)
         for node, knn in per_node.items()
@@ -89,7 +77,6 @@ def normalized_knn_spectrum(
     graph: Graph,
     log_bins: bool = True,
     bins_per_decade: int = 10,
-    backend: str = "auto",
 ) -> List[Tuple[float, float]]:
     """k̄_nn(k)·⟨k⟩/⟨k²⟩ — the normalization used in the AS-map literature.
 
@@ -106,45 +93,28 @@ def normalized_knn_spectrum(
     factor = mean_k / mean_k2
     return [
         (k, knn * factor)
-        for k, knn in knn_spectrum(graph, log_bins, bins_per_decade, backend=backend)
+        for k, knn in knn_spectrum(graph, log_bins, bins_per_decade)
     ]
 
 
-def degree_assortativity(graph: Graph, backend: str = "auto") -> float:
+def degree_assortativity(graph: Graph) -> float:
     """Pearson correlation of degrees across edges (Newman's r).
 
     Computed over edge endpoint pairs, each undirected edge contributing
     both orientations.  Returns 0.0 when the variance vanishes (e.g. a
-    regular graph), where r is undefined.
-
-    Every accumulated sum is integer-valued, so the CSR backend's int64
-    reductions reproduce the python float accumulation exactly and the two
-    backends agree bit-for-bit.
+    regular graph), where r is undefined.  Every accumulated sum is an
+    exact int64 reduction over the CSR edge arrays.
     """
-    if resolve_backend(backend, graph.num_nodes) == "csr":
-        view = graph.csr()
-        u, v, _ = view.edge_arrays()
-        if u.size == 0:
-            return 0.0
-        ku = view.degrees[u]
-        kv = view.degrees[v]
-        sum_x = float(int(ku.sum()) + int(kv.sum()))
-        sum_x2 = float(int((ku * ku).sum()) + int((kv * kv).sum()))
-        sum_xy = float(2 * int((ku * kv).sum()))
-        count = 2 * int(u.size)
-    else:
-        sum_x = sum_x2 = sum_xy = 0.0
-        count = 0
-        for u, v in graph.edges():
-            ku = graph.degree(u)
-            kv = graph.degree(v)
-            # Both orientations: (ku, kv) and (kv, ku).
-            sum_x += ku + kv
-            sum_x2 += ku * ku + kv * kv
-            sum_xy += 2.0 * ku * kv
-            count += 2
-    if count == 0:
+    view = graph.csr()
+    u, v, _ = view.edge_arrays()
+    if u.size == 0:
         return 0.0
+    ku = view.degrees[u]
+    kv = view.degrees[v]
+    sum_x = float(int(ku.sum()) + int(kv.sum()))
+    sum_x2 = float(int((ku * ku).sum()) + int((kv * kv).sum()))
+    sum_xy = float(2 * int((ku * kv).sum()))
+    count = 2 * int(u.size)
     mean_x = sum_x / count
     var_x = sum_x2 / count - mean_x * mean_x
     if var_x <= 0:

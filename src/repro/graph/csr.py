@@ -1,13 +1,12 @@
-"""Compressed-sparse-row fast path for the graph engine.
+"""Compressed-sparse-row view of the graph engine.
 
 :class:`CSRView` is an immutable array snapshot of a :class:`~repro.graph.
 graph.Graph`: contiguous ``indptr``/``indices``/``weights`` numpy arrays
 plus the node↔index maps that tie array positions back to node ids.  The
-hot metric kernels (BFS path lengths, Brandes betweenness, triangle
-counting, k-core peeling, rich-club and correlation sweeps) have array
-implementations operating on this view that produce values identical to
-the pure-Python reference implementations — CSR is a *speed* choice, never
-a *semantics* choice.
+metric kernels (BFS path lengths, Brandes betweenness, triangle counting,
+k-core peeling, rich-club and correlation sweeps, the percolation sweeps)
+run on this view; the dict-walking loops they replaced are kept in the
+test suite as oracles.
 
 The view contract:
 
@@ -20,64 +19,35 @@ The view contract:
   monotonically bumped mutation counter, so any ``add_edge`` /
   ``remove_edge`` / ``remove_node`` / ``set_edge_weight`` after the build
   makes the next ``csr()`` call rebuild.
-
-Backend selection is centralized in :func:`resolve_backend`: an explicit
-``backend="python"`` or ``"csr"`` always wins; ``"auto"`` consults the
-``REPRO_BACKEND`` environment variable and otherwise picks CSR at or above
-:data:`AUTO_CSR_THRESHOLD` nodes (array setup costs more than it saves on
-tiny graphs).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = [
-    "CSRView",
-    "resolve_backend",
-    "BACKENDS",
-    "AUTO_CSR_THRESHOLD",
-    "REPRO_BACKEND_ENV",
-]
+__all__ = ["CSRView", "resolve_backend"]
 
 Node = Hashable
 
-#: Accepted values for every kernel's ``backend`` parameter.
-BACKENDS = ("auto", "python", "csr")
-
-#: ``backend="auto"`` picks the CSR path at or above this many nodes.
-AUTO_CSR_THRESHOLD = 300
-
-#: Environment variable consulted by ``backend="auto"`` (values: ``python``,
-#: ``csr``, or ``auto``); explicit backend arguments always override it.
-REPRO_BACKEND_ENV = "REPRO_BACKEND"
-
 
 def resolve_backend(backend: str = "auto", size: int = 0) -> str:
-    """Resolve a ``backend`` argument to ``"python"`` or ``"csr"``.
+    """Validate a former kernel-backend name and return ``"csr"``.
 
-    Explicit choices pass through (after validation).  ``"auto"`` defers
-    first to the ``REPRO_BACKEND`` environment variable — which lets CI
-    force the fast path across an unmodified test suite — and then to the
-    size threshold: CSR at or above :data:`AUTO_CSR_THRESHOLD` nodes.
+    Kept only for perfbench: its ``ref`` and ``battery`` tasks label their
+    environment with it, and :func:`~repro.core.metrics.
+    compute_metric_groups` validates with it the ``backend`` keyword that
+    perfbench's world-store check still passes.  It goes once a benchmark
+    change drops those calls.  Names other than ``auto``, ``python`` and
+    ``csr`` raise :class:`ValueError`; *size* is ignored.
     """
-    if backend not in BACKENDS:
-        choices = ", ".join(BACKENDS)
-        raise ValueError(f"unknown backend {backend!r}; choose one of: {choices}")
-    if backend != "auto":
-        return backend
-    env = os.environ.get(REPRO_BACKEND_ENV, "").strip().lower()
-    if env in ("python", "csr"):
-        return env
-    if env not in ("", "auto"):
-        choices = ", ".join(BACKENDS)
+    choices = ("auto", "python", "csr")
+    if backend not in choices:
         raise ValueError(
-            f"invalid {REPRO_BACKEND_ENV}={env!r}; choose one of: {choices}"
+            f"unknown backend {backend!r}; choose one of: {', '.join(choices)}"
         )
-    return "csr" if size >= AUTO_CSR_THRESHOLD else "python"
+    return "csr"
 
 
 class CSRView:

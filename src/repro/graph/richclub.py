@@ -14,7 +14,6 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from ..stats.rng import SeedLike, make_rng
-from .csr import resolve_backend
 from .graph import Graph
 
 __all__ = ["rich_club_coefficient", "normalized_rich_club", "rich_club_spectrum"]
@@ -22,14 +21,14 @@ __all__ = ["rich_club_coefficient", "normalized_rich_club", "rich_club_spectrum"
 Node = Hashable
 
 
-def _rich_club_csr(graph: Graph) -> Dict[int, float]:
-    """φ(k) via degree-sorted cumulative sums on the CSR view.
+def rich_club_coefficient(graph: Graph) -> Dict[int, float]:
+    """φ(k) for every degree k present: density among nodes with degree > k.
 
-    ``E_{>k}`` is the suffix sum of a histogram of per-edge min endpoint
-    degrees and ``N_{>k}`` the suffix sum of the degree histogram — two
-    ``np.bincount`` calls and two reversed cumsums replace the club sweep.
-    Every count is an exact integer, so the densities match the python
-    backend bit-for-bit.
+    For each threshold k, ``φ(k) = 2 E_{>k} / (N_{>k} (N_{>k} - 1))``;
+    thresholds where fewer than two nodes qualify are omitted.  ``E_{>k}``
+    is the suffix sum of a histogram of per-edge min endpoint degrees and
+    ``N_{>k}`` the suffix sum of the degree histogram on the CSR view — two
+    ``np.bincount`` calls and two reversed cumsums, all exact integers.
     """
     view = graph.csr()
     degrees = view.degrees
@@ -57,44 +56,7 @@ def _rich_club_csr(graph: Graph) -> Dict[int, float]:
     return phi
 
 
-def rich_club_coefficient(graph: Graph, backend: str = "auto") -> Dict[int, float]:
-    """φ(k) for every degree k present: density among nodes with degree > k.
-
-    Computed incrementally from high k downward in O(E + N log N): for each
-    threshold k, ``φ(k) = 2 E_{>k} / (N_{>k} (N_{>k} - 1))``.  Thresholds
-    where fewer than two nodes qualify are omitted.
-    """
-    if resolve_backend(backend, graph.num_nodes) == "csr":
-        return _rich_club_csr(graph)
-    degrees = graph.degrees()
-    if not degrees:
-        return {}
-    # Sort thresholds descending; sweep nodes into the club as k decreases.
-    max_k = max(degrees.values())
-    nodes_by_degree: Dict[int, List[Node]] = {}
-    for node, k in degrees.items():
-        nodes_by_degree.setdefault(k, []).append(node)
-    club: set = set()
-    edges_inside = 0
-    phi: Dict[int, float] = {}
-    for k in range(max_k - 1, -1, -1):
-        # Nodes of degree k+1 enter the club when the threshold drops to k.
-        for node in nodes_by_degree.get(k + 1, ()):
-            for nbr in graph.neighbors(node):
-                if nbr in club:
-                    edges_inside += 1
-            club.add(node)
-        size = len(club)
-        if size >= 2:
-            phi[k] = 2.0 * edges_inside / (size * (size - 1))
-    return dict(sorted(phi.items()))
-
-
-def normalized_rich_club(
-    graph: Graph,
-    reference: Graph,
-    backend: str = "auto",
-) -> Dict[int, float]:
+def normalized_rich_club(graph: Graph, reference: Graph) -> Dict[int, float]:
     """ρ(k) = φ(k) / φ_ref(k) against a degree-preserving *reference*.
 
     Thresholds missing from either spectrum, or where the reference density
@@ -102,8 +64,8 @@ def normalized_rich_club(
     :func:`repro.generators.random_reference.rewired_reference` to build the
     null model.
     """
-    phi = rich_club_coefficient(graph, backend=backend)
-    phi_ref = rich_club_coefficient(reference, backend=backend)
+    phi = rich_club_coefficient(graph)
+    phi_ref = rich_club_coefficient(reference)
     out: Dict[int, float] = {}
     for k, value in phi.items():
         ref = phi_ref.get(k)
@@ -113,9 +75,9 @@ def normalized_rich_club(
 
 
 def rich_club_spectrum(
-    graph: Graph, reference: Optional[Graph] = None, backend: str = "auto"
+    graph: Graph, reference: Optional[Graph] = None
 ) -> List[Tuple[int, float]]:
     """(k, φ(k)) — or (k, ρ(k)) when *reference* is given — as sorted rows."""
     if reference is None:
-        return sorted(rich_club_coefficient(graph, backend=backend).items())
-    return sorted(normalized_rich_club(graph, reference, backend=backend).items())
+        return sorted(rich_club_coefficient(graph).items())
+    return sorted(normalized_rich_club(graph, reference).items())

@@ -16,9 +16,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from ..stats.rng import SeedLike, make_rng
-from .csr import resolve_backend
 from .graph import Graph
-from .traversal import bfs_distances
 
 __all__ = [
     "PathLengthStats",
@@ -74,19 +72,14 @@ def path_length_distribution(
     graph: Graph,
     max_sources: Optional[int] = None,
     seed: SeedLike = None,
-    backend: str = "auto",
 ) -> PathLengthStats:
     """Distribution of shortest-path lengths within *graph*.
 
     With *max_sources* set and smaller than N, BFS roots are sampled
     uniformly without replacement; otherwise every node is a root and the
     counts are exact (each unordered pair contributes twice, which cancels
-    in all normalized statistics).
-
-    *backend* selects the implementation (see
-    :func:`repro.graph.csr.resolve_backend`); sampling happens in node-id
-    space before the backend split, so both backends observe identical
-    counts for the same seed.
+    in all normalized statistics).  Roots are sampled from the node ids in
+    graph iteration order and run as batched BFS on the CSR view.
     """
     nodes = list(graph.nodes())
     if not nodes:
@@ -97,14 +90,7 @@ def path_length_distribution(
     else:
         rng = make_rng(seed)
         sources = rng.sample(nodes, max_sources)
-    if resolve_backend(backend, len(nodes)) == "csr":
-        counts = _distance_counts_csr(graph, sources)
-    else:
-        counts = {}
-        for source in sources:
-            for distance in bfs_distances(graph, source).values():
-                if distance > 0:
-                    counts[distance] = counts.get(distance, 0) + 1
+    counts = _distance_counts_csr(graph, sources)
     return PathLengthStats(counts=counts, sources=len(sources), exact=exact)
 
 
@@ -143,62 +129,43 @@ def average_path_length(
     graph: Graph,
     max_sources: Optional[int] = None,
     seed: SeedLike = None,
-    backend: str = "auto",
 ) -> float:
     """Characteristic path length ⟨ℓ⟩ (sampled when *max_sources* is set)."""
-    return path_length_distribution(
-        graph, max_sources=max_sources, seed=seed, backend=backend
-    ).mean
+    return path_length_distribution(graph, max_sources=max_sources, seed=seed).mean
 
 
-def eccentricities(graph: Graph, backend: str = "auto") -> Dict[Node, int]:
+def eccentricities(graph: Graph) -> Dict[Node, int]:
     """Eccentricity of every node (max distance to any reachable node).
 
     Requires a connected graph to be meaningful; on a disconnected graph the
     eccentricity is computed within each node's component.
     """
-    if resolve_backend(backend, graph.num_nodes) == "csr":
-        view = graph.csr()
-        n = view.num_nodes
-        out_csr: Dict[Node, int] = {}
-        for start in range(0, n, _BFS_BATCH):
-            positions = np.arange(start, min(start + _BFS_BATCH, n))
-            # Unreachable entries are -1 < 0, so the column max is the
-            # farthest reachable node (0 for an isolated source).
-            maxima = view.distance_batch(positions).max(axis=0)
-            for i, ecc in zip(positions.tolist(), maxima.tolist()):
-                out_csr[view.nodes[i]] = int(ecc)
-        return out_csr
+    view = graph.csr()
+    n = view.num_nodes
     out: Dict[Node, int] = {}
-    for node in graph.nodes():
-        distances = bfs_distances(graph, node)
-        out[node] = max(distances.values()) if len(distances) > 1 else 0
+    for start in range(0, n, _BFS_BATCH):
+        positions = np.arange(start, min(start + _BFS_BATCH, n))
+        # Unreachable entries are -1 < 0, so the column max is the
+        # farthest reachable node (0 for an isolated source).
+        maxima = view.distance_batch(positions).max(axis=0)
+        for i, ecc in zip(positions.tolist(), maxima.tolist()):
+            out[view.nodes[i]] = int(ecc)
     return out
 
 
-def diameter(graph: Graph, backend: str = "auto") -> int:
+def diameter(graph: Graph) -> int:
     """Exact diameter (longest shortest path) of the graph.
 
     Raises :class:`ValueError` on a disconnected graph, where the diameter
     is conventionally infinite.
     """
-    nodes = list(graph.nodes())
-    if not nodes:
-        return 0
+    view = graph.csr()
+    n = view.num_nodes
     best = 0
-    n = len(nodes)
-    if resolve_backend(backend, n) == "csr":
-        view = graph.csr()
-        for start in range(0, n, _BFS_BATCH):
-            positions = np.arange(start, min(start + _BFS_BATCH, n))
-            distances = view.distance_batch(positions)
-            if int((distances >= 0).sum()) != n * positions.size:
-                raise ValueError("diameter is undefined on a disconnected graph")
-            best = max(best, int(distances.max()))
-        return best
-    for node in nodes:
-        distances = bfs_distances(graph, node)
-        if len(distances) != n:
+    for start in range(0, n, _BFS_BATCH):
+        positions = np.arange(start, min(start + _BFS_BATCH, n))
+        distances = view.distance_batch(positions)
+        if int((distances >= 0).sum()) != n * positions.size:
             raise ValueError("diameter is undefined on a disconnected graph")
-        best = max(best, max(distances.values()))
+        best = max(best, int(distances.max()))
     return best

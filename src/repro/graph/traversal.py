@@ -8,11 +8,10 @@ metric in the literature is computed on the giant component of the map).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Iterable, List, Optional, Set
+from typing import Dict, Hashable, List, Optional, Set
 
 import numpy as np
 
-from .csr import resolve_backend
 from .graph import Graph
 
 __all__ = [
@@ -68,12 +67,12 @@ def bfs_tree(graph: Graph, source: Node) -> Dict[Node, Node]:
     return parent
 
 
-def _components_csr(graph: Graph) -> List[Set[Node]]:
-    """Component sets via frontier-array BFS sweeps over the CSR view.
+def connected_components(graph: Graph) -> List[Set[Node]]:
+    """Connected components, largest first.
 
-    Seeds are visited in node-iteration order (like the dict BFS), so the
-    discovery order — and therefore the stable largest-first sort — matches
-    the python backend.
+    Frontier-array BFS sweeps over the CSR view.  Seeds are visited in
+    node-iteration order, so components of equal size keep their discovery
+    order under the stable largest-first sort.
     """
     view = graph.csr()
     n = view.num_nodes
@@ -100,43 +99,17 @@ def _components_csr(graph: Graph) -> List[Set[Node]]:
     return components
 
 
-def connected_components(graph: Graph, backend: str = "auto") -> List[Set[Node]]:
-    """Connected components, largest first."""
-    if resolve_backend(backend, graph.num_nodes) == "csr":
-        return _components_csr(graph)
-    seen: Set[Node] = set()
-    components: List[Set[Node]] = []
-    for start in graph.nodes():
-        if start in seen:
-            continue
-        component: Set[Node] = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in graph.neighbors(u):
-                if v not in component:
-                    component.add(v)
-                    queue.append(v)
-        seen |= component
-        components.append(component)
-    components.sort(key=len, reverse=True)
-    return components
-
-
-def is_connected(graph: Graph, backend: str = "auto") -> bool:
+def is_connected(graph: Graph) -> bool:
     """Whether the graph is connected (empty graphs count as connected)."""
     if graph.num_nodes == 0:
         return True
-    if resolve_backend(backend, graph.num_nodes) == "csr":
-        view = graph.csr()
-        return int((view.bfs_distances(0) >= 0).sum()) == view.num_nodes
-    first = next(iter(graph.nodes()))
-    return len(bfs_distances(graph, first)) == graph.num_nodes
+    view = graph.csr()
+    return int((view.bfs_distances(0) >= 0).sum()) == view.num_nodes
 
 
-def giant_component(graph: Graph, backend: str = "auto") -> Graph:
+def giant_component(graph: Graph) -> Graph:
     """Subgraph induced on the largest connected component."""
-    components = connected_components(graph, backend=backend)
+    components = connected_components(graph)
     if not components:
         return Graph(name=graph.name)
     return graph.subgraph(components[0])

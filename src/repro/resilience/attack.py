@@ -83,7 +83,13 @@ def victim_order(
     ties fall to the earliest-inserted node id.  That makes the ordering a
     pure function of the graph, which is what lets the CSR sweep in
     :mod:`repro.resilience.sweep` (where array positions follow the same
-    iteration order) reproduce the python reference bit-for-bit.
+    iteration order) reproduce :func:`removal_sweep` bit-for-bit.
+
+    Betweenness scores come from the CSR Brandes kernel, whose float sums
+    can split by an ulp a tie that exact arithmetic would keep; the split
+    then decides the order.  On barabasi-albert n=60 seed 2, nodes 22 and
+    26 tie at 0.0065950122349888556 in a one-source-at-a-time Brandes,
+    while the CSR kernel scores 26 one ulp higher and removes it first.
 
     ``ADAPTIVE`` degree (:attr:`AttackStrategy.DEGREE`) has no precomputed
     order and raises; it is handled inline by the sweeps.

@@ -3,13 +3,11 @@
 Percolation sweeps are the behavioral half of the comparison battery: a
 model earns its living not by matching scalar metrics but by *surviving*
 random failure and targeted attack the way the measured AS map does.  The
-python reference (:func:`repro.resilience.attack.removal_sweep`) recomputes
+reference sweep (:func:`repro.resilience.attack.removal_sweep`) recomputes
 connected components from scratch after every removal batch, which is
-O(steps × (N + E)) of dict-walking per sweep — too slow to run across the
-full 12-model registry at battery scale.
-
-This module is the CSR fast path, behind the same ``backend`` contract as
-the metric kernels (:func:`repro.graph.csr.resolve_backend`):
+O(steps × (N + E)) per sweep — too slow to run across the full 12-model
+registry at battery scale.  The kernels here run on the graph's cached
+CSR view:
 
 * :func:`percolation_sweep` — node-removal percolation over the cached
   :class:`~repro.graph.csr.CSRView`.  The victim order is computed once
@@ -21,14 +19,13 @@ the metric kernels (:func:`repro.graph.csr.resolve_backend`):
   and re-add victims last-to-first, recording the running maximum
   component size at each measurement checkpoint.  Total cost is one
   components pass plus O(E α(N)) unions — no per-checkpoint recomputation.
-  Trajectories are **bit-identical** to the python reference for every
+  Trajectories are **bit-identical** to the reference sweep for every
   strategy, seed, and graph shape (the equivalence suite enforces this).
 * :func:`path_inflation_sweep` — sampled path-length inflation along the
   same removal schedule, via the batched BFS kernel
   (:meth:`~repro.graph.csr.CSRView.distance_batch`) restricted to the
   surviving nodes with its ``active`` mask.  Distances are integers and
-  are accumulated as integers, so the sampled means are bit-identical
-  across backends too.
+  are accumulated as integers, so the sampled means are exact ratios.
 * :func:`link_redundancy` / :func:`shortcut_fraction` — the Zhou–Mondragón
   redundancy fingerprints: the fraction of links whose loss does not
   disconnect their endpoints (non-bridge links, i.e. links on a cycle) and
@@ -36,11 +33,6 @@ the metric kernels (:func:`repro.graph.csr.resolve_backend`):
   triangle, the radius-2 "shortcut" operationalization).
 * :func:`robustness_summary` — the scalar bundle the battery runner's
   ``robustness`` metric group computes per (model, replicate) cell.
-
-Backend is a *speed* choice, never a semantics choice: ``python`` routes to
-the reference implementations, ``csr`` to the array kernels, and ``auto``
-follows ``REPRO_BACKEND`` / the size threshold exactly like the metric
-kernels.
 """
 
 from __future__ import annotations
@@ -50,17 +42,14 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..graph.csr import resolve_backend
 from ..graph.cuts import bridges
 from ..graph.graph import Graph
-from ..graph.traversal import bfs_distances
 from ..obs.tracer import get_tracer
 from ..stats.rng import SeedLike, derive_seed, make_rng
 from .attack import (
     AttackStrategy,
     RemovalTrajectory,
     critical_fraction,
-    removal_sweep,
     victim_order,
 )
 
@@ -261,32 +250,6 @@ def _reverse_giant_sizes(
     return sizes
 
 
-def _csr_removal_sweep(
-    graph: Graph,
-    strategy: AttackStrategy,
-    max_fraction: float,
-    steps: int,
-    seed: SeedLike,
-    betweenness_pivots: int,
-) -> RemovalTrajectory:
-    rng = make_rng(seed)
-    view = graph.csr()
-    n = view.num_nodes
-    total = int(max_fraction * n)
-    victims = _victim_positions(
-        graph, view, strategy, total, rng, betweenness_pivots
-    )
-    checkpoints = _checkpoints(total, steps)
-    sizes = _reverse_giant_sizes(view, victims, checkpoints)
-    fractions = [0.0] + [k / n for k in checkpoints]
-    giants = [sizes[0] / n] + [sizes[k] / n for k in checkpoints]
-    return RemovalTrajectory(
-        strategy=strategy,
-        fractions_removed=tuple(fractions),
-        giant_fractions=tuple(giants),
-    )
-
-
 def percolation_sweep(
     graph: Graph,
     strategy: AttackStrategy = AttackStrategy.RANDOM,
@@ -294,31 +257,34 @@ def percolation_sweep(
     steps: int = 20,
     seed: SeedLike = 0,
     betweenness_pivots: int = 100,
-    backend: str = "auto",
 ) -> RemovalTrajectory:
-    """Node-removal percolation sweep with a selectable backend.
+    """Node-removal percolation sweep by reverse union-find over the
+    graph's cached CSR view.
 
-    ``backend="python"`` is exactly
-    :func:`repro.resilience.attack.removal_sweep` (the reference);
-    ``"csr"`` runs the reverse union-find fast path over the graph's
-    cached CSR view; ``"auto"`` resolves like every metric kernel
-    (``REPRO_BACKEND`` env, then the size threshold).  The two backends
-    produce **bit-identical** :class:`RemovalTrajectory` values for every
-    strategy and seed — CSR is a speed choice, never a semantics choice.
+    Returns exactly the :class:`RemovalTrajectory` of
+    :func:`repro.resilience.attack.removal_sweep` for every strategy and
+    seed — the same victims, measured at the same checkpoints — without
+    recomputing components after each removal batch.
     """
     _validate_sweep_args(graph, max_fraction, steps)
-    resolved = resolve_backend(backend, graph.num_nodes)
     with get_tracer().span(
-        "resilience.sweep", strategy=strategy.value, n=graph.num_nodes,
-        backend=resolved,
+        "resilience.sweep", strategy=strategy.value, n=graph.num_nodes
     ):
-        if resolved == "python":
-            return removal_sweep(
-                graph, strategy, max_fraction=max_fraction, steps=steps,
-                seed=seed, betweenness_pivots=betweenness_pivots,
-            )
-        return _csr_removal_sweep(
-            graph, strategy, max_fraction, steps, seed, betweenness_pivots
+        rng = make_rng(seed)
+        view = graph.csr()
+        n = view.num_nodes
+        total = int(max_fraction * n)
+        victims = _victim_positions(
+            graph, view, strategy, total, rng, betweenness_pivots
+        )
+        checkpoints = _checkpoints(total, steps)
+        sizes = _reverse_giant_sizes(view, victims, checkpoints)
+        fractions = [0.0] + [k / n for k in checkpoints]
+        giants = [sizes[0] / n] + [sizes[k] / n for k in checkpoints]
+        return RemovalTrajectory(
+            strategy=strategy,
+            fractions_removed=tuple(fractions),
+            giant_fractions=tuple(giants),
         )
 
 
@@ -328,120 +294,10 @@ def percolation_sweep(
 def _sample_sources(active_nodes: List[Node], samples: int, seed, step: int):
     """The measurement's BFS sources: a seeded draw from the surviving
     nodes in graph iteration order.  Pure function of (seed, step, active
-    set), shared by both backends so their samples are identical."""
+    set)."""
     rng = make_rng(derive_seed("inflation-sources", seed, step))
     count = min(samples, len(active_nodes))
     return rng.sample(active_nodes, count)
-
-
-def _python_inflation_sweep(
-    graph: Graph,
-    strategy: AttackStrategy,
-    max_fraction: float,
-    steps: int,
-    samples: int,
-    seed: SeedLike,
-    betweenness_pivots: int,
-) -> InflationTrajectory:
-    """Reference implementation: graph copy, per-batch removal, dict BFS."""
-    rng = make_rng(seed)
-    work = graph.copy()
-    n = graph.num_nodes
-    total = int(max_fraction * n)
-    adaptive = strategy is AttackStrategy.DEGREE
-    order: List[Node] = []
-    if not adaptive:
-        order = victim_order(work, strategy, rng, betweenness_pivots)
-
-    def measure(step: int) -> float:
-        active = list(work.nodes())
-        distance_sum = 0
-        pairs = 0
-        for source in _sample_sources(active, samples, seed, step):
-            distances = bfs_distances(work, source)
-            distance_sum += sum(distances.values())
-            pairs += len(distances) - 1
-        return distance_sum / pairs if pairs else float("nan")
-
-    fractions = [0.0]
-    means = [measure(0)]
-    batch = max(total // steps, 1)
-    removed = 0
-    cursor = 0
-    step = 0
-    while removed < total:
-        for _ in range(min(batch, total - removed)):
-            if adaptive:
-                victim = max(work.nodes(), key=work.degree)
-            else:
-                victim = order[cursor]
-                cursor += 1
-            work.remove_node(victim)
-            removed += 1
-        step += 1
-        fractions.append(removed / n)
-        means.append(measure(step))
-    return InflationTrajectory(
-        strategy=strategy,
-        fractions_removed=tuple(fractions),
-        mean_distances=tuple(means),
-        samples=samples,
-    )
-
-
-def _csr_inflation_sweep(
-    graph: Graph,
-    strategy: AttackStrategy,
-    max_fraction: float,
-    steps: int,
-    samples: int,
-    seed: SeedLike,
-    betweenness_pivots: int,
-) -> InflationTrajectory:
-    """Fast path: one victim-order pass, then batched masked BFS per
-    checkpoint.  Integer distance accumulation keeps the sampled means
-    bit-identical to the reference."""
-    rng = make_rng(seed)
-    view = graph.csr()
-    n = view.num_nodes
-    total = int(max_fraction * n)
-    victims = _victim_positions(
-        graph, view, strategy, total, rng, betweenness_pivots
-    )
-    active = np.ones(n, dtype=bool)
-
-    def measure(step: int) -> float:
-        active_nodes = [view.nodes[i] for i in np.flatnonzero(active)]
-        sources = _sample_sources(active_nodes, samples, seed, step)
-        if not sources:
-            return float("nan")
-        positions = np.fromiter(
-            (view.index[node] for node in sources),
-            dtype=np.int64, count=len(sources),
-        )
-        distances = view.distance_batch(positions, active=active)
-        reached = distances > 0
-        pairs = int(reached.sum())
-        if pairs == 0:
-            return float("nan")
-        distance_sum = int(distances.sum(where=reached, dtype=np.int64))
-        return distance_sum / pairs
-
-    checkpoints = _checkpoints(total, steps)
-    fractions = [0.0]
-    means = [measure(0)]
-    removed = 0
-    for step, k in enumerate(checkpoints, start=1):
-        active[victims[removed:k]] = False
-        removed = k
-        fractions.append(k / n)
-        means.append(measure(step))
-    return InflationTrajectory(
-        strategy=strategy,
-        fractions_removed=tuple(fractions),
-        mean_distances=tuple(means),
-        samples=samples,
-    )
 
 
 def path_inflation_sweep(
@@ -452,95 +308,106 @@ def path_inflation_sweep(
     samples: int = 32,
     seed: SeedLike = 0,
     betweenness_pivots: int = 100,
-    backend: str = "auto",
 ) -> InflationTrajectory:
     """Sampled path-length inflation along a removal schedule.
 
     At the intact graph and after every removal batch, BFS runs from up to
     *samples* seeded sources drawn from the surviving nodes, and the mean
     distance over all reachable (source, target) pairs is recorded.  The
-    removal schedule, source draws, and integer distance sums are shared
-    logic, so both backends return bit-identical trajectories; the CSR
-    path runs all sources of a measurement as one batched masked BFS
+    victim order is computed once; all sources of a measurement then run
+    as one batched masked BFS
     (:meth:`~repro.graph.csr.CSRView.distance_batch` with its ``active``
-    mask) instead of one dict BFS per source.
+    mask) on the intact graph's view, accumulating integer distances, so
+    no graph copy is ever mutated.
     """
     _validate_sweep_args(graph, max_fraction, steps)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    resolved = resolve_backend(backend, graph.num_nodes)
     with get_tracer().span(
-        "resilience.inflation", strategy=strategy.value, n=graph.num_nodes,
-        backend=resolved,
+        "resilience.inflation", strategy=strategy.value, n=graph.num_nodes
     ):
-        impl = (
-            _python_inflation_sweep if resolved == "python"
-            else _csr_inflation_sweep
+        rng = make_rng(seed)
+        view = graph.csr()
+        n = view.num_nodes
+        total = int(max_fraction * n)
+        victims = _victim_positions(
+            graph, view, strategy, total, rng, betweenness_pivots
         )
-        return impl(
-            graph, strategy, max_fraction, steps, samples, seed,
-            betweenness_pivots,
+        active = np.ones(n, dtype=bool)
+
+        def measure(step: int) -> float:
+            active_nodes = [view.nodes[i] for i in np.flatnonzero(active)]
+            sources = _sample_sources(active_nodes, samples, seed, step)
+            if not sources:
+                return float("nan")
+            positions = np.fromiter(
+                (view.index[node] for node in sources),
+                dtype=np.int64, count=len(sources),
+            )
+            distances = view.distance_batch(positions, active=active)
+            reached = distances > 0
+            pairs = int(reached.sum())
+            if pairs == 0:
+                return float("nan")
+            distance_sum = int(distances.sum(where=reached, dtype=np.int64))
+            return distance_sum / pairs
+
+        checkpoints = _checkpoints(total, steps)
+        fractions = [0.0]
+        means = [measure(0)]
+        removed = 0
+        for step, k in enumerate(checkpoints, start=1):
+            active[victims[removed:k]] = False
+            removed = k
+            fractions.append(k / n)
+            means.append(measure(step))
+        return InflationTrajectory(
+            strategy=strategy,
+            fractions_removed=tuple(fractions),
+            mean_distances=tuple(means),
+            samples=samples,
         )
 
 
 # ------------------------------------------------------- redundancy metrics
 
 
-def link_redundancy(graph: Graph, backend: str = "auto") -> float:
+def link_redundancy(graph: Graph) -> float:
     """Fraction of links that are *redundant*: their loss leaves their
     endpoints connected (the link lies on a cycle, i.e. is not a bridge).
 
     The Zhou–Mondragón redundancy fingerprint: measured AS maps are
     bridge-heavy at the stub edge and cycle-rich in the core, and models
     that match the degree sequence can still miss this badly.  The bridge
-    count itself comes from the shared iterative Tarjan DFS
-    (:func:`repro.graph.cuts.bridges`, O(N+E)) under either backend — it
-    is an exact integer, so the value is identical by construction;
-    *backend* is accepted for contract uniformity with the sweeps.
+    count comes from the iterative Tarjan DFS
+    (:func:`repro.graph.cuts.bridges`, O(N+E)).
     """
-    resolve_backend(backend, graph.num_nodes)  # validate the argument
     m = graph.num_edges
     if m == 0:
         return float("nan")
     return (m - len(bridges(graph))) / m
 
 
-def shortcut_fraction(graph: Graph, backend: str = "auto") -> float:
+def shortcut_fraction(graph: Graph) -> float:
     """Fraction of links with a two-hop bypass (the link closes at least
     one triangle) — the radius-2 "shortcut" count of the Zhou–Mondragón
     redundancy analysis: traffic survives the link's loss with one extra
-    hop.
-
-    The python reference intersects sorted neighbor sets per edge; the CSR
-    path counts edges with a positive entry of A·A via one sparse matmul.
-    Both are exact integer counts, so the fraction is bit-identical.
+    hop.  Shortcut edges are those with a positive entry of A·A, counted
+    exactly with one sparse matmul.
     """
     m = graph.num_edges
     if m == 0:
         return float("nan")
-    if resolve_backend(backend, graph.num_nodes) == "csr":
-        view = graph.csr()
-        adjacency = view.unweighted_sparse()
-        two_paths = adjacency @ adjacency
-        # Entries of A·A at edge positions count common neighbors; each
-        # undirected shortcut edge appears twice (once per direction).
-        bypassed = adjacency.multiply(two_paths)
-        shortcuts = int((bypassed.data > 0).sum()) // 2
-        return shortcuts / m
-    shortcuts = 0
-    for u, v in graph.edges():
-        u_neighbors = graph.neighbor_weights(u)
-        v_neighbors = graph.neighbor_weights(v)
-        if len(v_neighbors) < len(u_neighbors):
-            u_neighbors, v_neighbors = v_neighbors, u_neighbors
-        if any(w in v_neighbors for w in u_neighbors):
-            shortcuts += 1
+    adjacency = graph.csr().unweighted_sparse()
+    two_paths = adjacency @ adjacency
+    # Entries of A·A at edge positions count common neighbors; each
+    # undirected shortcut edge appears twice (once per direction).
+    bypassed = adjacency.multiply(two_paths)
+    shortcuts = int((bypassed.data > 0).sum()) // 2
     return shortcuts / m
 
 
-def robustness_summary(
-    graph: Graph, seed: SeedLike = 0, backend: str = "auto"
-) -> Dict[str, float]:
+def robustness_summary(graph: Graph, seed: SeedLike = 0) -> Dict[str, float]:
     """The T5 scalar bundle for one topology: percolation survival and
     collapse points under random failure and adaptive-degree attack,
     sampled path inflation under random failure, and the redundancy
@@ -549,17 +416,17 @@ def robustness_summary(
     """
     random_run = percolation_sweep(
         graph, AttackStrategy.RANDOM, max_fraction=ROBUSTNESS_MAX_FRACTION,
-        steps=ROBUSTNESS_STEPS, seed=seed, backend=backend,
+        steps=ROBUSTNESS_STEPS, seed=seed,
     )
     attack_run = percolation_sweep(
         graph, AttackStrategy.DEGREE, max_fraction=ROBUSTNESS_MAX_FRACTION,
-        steps=ROBUSTNESS_STEPS, seed=seed, backend=backend,
+        steps=ROBUSTNESS_STEPS, seed=seed,
     )
     inflation = path_inflation_sweep(
         graph, AttackStrategy.RANDOM,
         max_fraction=ROBUSTNESS_INFLATION_FRACTION,
         steps=ROBUSTNESS_INFLATION_STEPS, samples=ROBUSTNESS_PATH_SAMPLES,
-        seed=seed, backend=backend,
+        seed=seed,
     )
     random_critical = critical_fraction(random_run)
     attack_critical = critical_fraction(attack_run)
@@ -573,6 +440,6 @@ def robustness_summary(
             attack_critical if attack_critical is not None else float("nan")
         ),
         "path_inflation": inflation.inflation[-1],
-        "link_redundancy": link_redundancy(graph, backend=backend),
-        "shortcut_fraction": shortcut_fraction(graph, backend=backend),
+        "link_redundancy": link_redundancy(graph),
+        "shortcut_fraction": shortcut_fraction(graph),
     }

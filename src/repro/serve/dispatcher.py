@@ -139,7 +139,6 @@ class ServeDispatcher:
         threads: Optional[int] = None,
         mp_context=None,
         journal=None,
-        backend: str = "auto",
         engine: str = "auto",
         unit_timeout: Optional[float] = None,
         retries: int = 1,
@@ -162,11 +161,9 @@ class ServeDispatcher:
         self.reaped_at_start = self.spool.reap_staging()
         self.worlds_dir = self.root / "worlds"
         self.worlds_dir.mkdir(parents=True, exist_ok=True)
-        self.backend = backend
         self.engine = engine
         self.unit_timeout = unit_timeout
         self.retries = retries
-        self._sum_params = dict(SUMMARIZE_DEFAULTS, backend=backend)
         self.pool = WorkerPool(jobs, resolve_mp_context(mp_context))
         self.journal = resolve_journal(journal)
         self.run_id = self.journal.begin_run(
@@ -411,7 +408,7 @@ class ServeDispatcher:
         else:
             seed = _coerce_int(params.get("seed", 0), "seed")
         return plan_cells(
-            generator, n, seed, self._groups(groups), self._sum_params,
+            generator, n, seed, self._groups(groups), SUMMARIZE_DEFAULTS,
             label=str(model),
         )
 
@@ -516,7 +513,7 @@ class ServeDispatcher:
                 plan.handle = handle_for_snapshot(world_store.snapshot_path)
             else:
                 generated = self._ensure_handle(plan)
-            self._run(plan, unit_task(plan, plan.pending, self._sum_params))
+            self._run(plan, unit_task(plan, plan.pending, SUMMARIZE_DEFAULTS))
             registry.counter("serve.cells.computed").inc(len(plan.pending))
         return {
             "model": plan.label,
@@ -549,7 +546,7 @@ class ServeDispatcher:
         # cache reads; the model summary runs inline here — never through
         # our own queue — so compare can't starve the dispatcher threads.
         with get_tracer().span("serve.target", n=plan.n):
-            target = summarize_target(None, plan.n, self.cache, self._sum_params)
+            target = summarize_target(None, plan.n, self.cache, SUMMARIZE_DEFAULTS)
         summary_result = self._execute_summarize(plan)
         summary = TopologySummary.from_dict(plan.label, summary_result["values"])
         comparison = compare_summaries(summary, target)
@@ -648,7 +645,7 @@ class ServeDispatcher:
         store = self._open_world(world)
         generator = StoredTopologyGenerator(store.path)
         plan = plan_cells(
-            generator, generator.num_nodes, seed, groups, self._sum_params,
+            generator, generator.num_nodes, seed, groups, SUMMARIZE_DEFAULTS,
             label=f"world-{world}",
         )
         result = self._execute_summarize(plan, world_store=store)

@@ -148,8 +148,7 @@ class TestPredictionVsMeasuredCollapse:
         g = giant_component(ErdosRenyiGnm(m=900).generate(600, seed=seed))
         predicted = critical_failure_fraction(g)
         sweep = percolation_sweep(
-            g, AttackStrategy.RANDOM, max_fraction=0.95, steps=40,
-            seed=seed, backend="csr",
+            g, AttackStrategy.RANDOM, max_fraction=0.95, steps=40, seed=seed,
         )
         measured = critical_fraction(sweep, collapse_threshold=0.05)
         assert measured is not None
@@ -161,6 +160,5 @@ class TestPredictionVsMeasuredCollapse:
         assert critical_failure_fraction(heavy) > 0.9
         sweep = percolation_sweep(
             heavy, AttackStrategy.RANDOM, max_fraction=0.5, steps=20, seed=3,
-            backend="csr",
         )
         assert critical_fraction(sweep, collapse_threshold=0.05) is None

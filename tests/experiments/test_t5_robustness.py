@@ -1,9 +1,8 @@
 """Experiment T5: the robustness & redundancy ranking table.
 
 The acceptance bar: ``repro experiment t5`` emits a ranking table covering
-all 12 registry models, the battery cells are cache-neutral across
-backends, and the harness threads every battery knob (jobs, cache,
-backend, engine) like T1 does.
+all 12 registry models, and the harness threads every battery knob
+(jobs, cache, engine) like T1 does.
 """
 
 import math
@@ -14,7 +13,7 @@ from repro.cli import main
 from repro.experiments import ROSTER_ORDER, run_t5
 from repro.experiments.t5_robustness import ROBUSTNESS_FIELDS
 
-SMALL = dict(n=250, seeds=1, backend="csr")
+SMALL = dict(n=250, seeds=1)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +101,7 @@ class TestT5Cli:
             "experiment", "t5",
             "--param", "n=250", "--param", "seeds=1",
             "--param", "models=barabasi-albert,erdos-renyi",
-            "--backend", "csr", "--engine", "vector", "--jobs", "2",
+            "--engine", "vector", "--jobs", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0

@@ -1,12 +1,12 @@
-"""Property tests: the CSR and python backends agree on every metric.
+"""Property tests: every CSR metric kernel agrees with its oracle.
 
-The CSR fast path is a speed choice, never a semantics choice — every
-scalar in :data:`repro.core.metrics.METRIC_GROUPS` must come out
-bit-for-bit identical from both backends on arbitrary graphs, including
+Every scalar in :data:`repro.core.metrics.METRIC_GROUPS` must come out
+bit-for-bit identical from the CSR kernels and from the dict-walking
+oracles in :mod:`tests.graph.oracles` on arbitrary graphs, including
 ones with isolated nodes, reinforced (multi-weight) edges, and
-non-integer node ids.  Betweenness (not a battery scalar) accumulates
-floats in a different order on the two backends, so it gets a 1e-9
-relative tolerance instead of exact equality.
+non-integer or mixed int/str node ids.  Betweenness (not a battery
+scalar) accumulates floats in a different order in the two, so it gets
+a 1e-9 relative tolerance instead of exact equality.
 """
 
 import math
@@ -42,13 +42,17 @@ from repro.graph.shortest_paths import (
 )
 from repro.graph.traversal import connected_components, is_connected
 
-# Node-id pools exercising non-integer ids; each graph draws from one pool
-# so ids stay mutually comparable.
+from .oracles import reference
+
+# Node-id pools exercising non-integer ids; each graph draws from one
+# pool.  The last mixes ints and strs, as an edge list mixing ASNs and
+# names parses, so its ids are not mutually comparable.
 NODE_POOLS = (
     list(range(24)),
     [f"as{i}" for i in range(24)],
     [float(i) / 2 for i in range(24)],
     [(i // 5, i % 5) for i in range(25)],
+    [i if i % 2 else f"as{i}" for i in range(24)],
 )
 
 
@@ -102,20 +106,19 @@ class TestBatteryScalars:
     @settings(max_examples=60, deadline=None)
     def test_all_metric_groups_bit_for_bit(self, g):
         groups = tuple(METRIC_GROUPS)
-        py = compute_metric_groups(g, groups, backend="python")
-        cs = compute_metric_groups(g, groups, backend="csr")
+        py = reference(compute_metric_groups, g, groups)
+        cs = compute_metric_groups(g, groups)
         assert_same(py, cs, label="groups")
 
     @given(graphs(), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=25, deadline=None)
     def test_sampled_paths_share_sources(self, g, seed):
-        py = compute_metric_groups(
-            g, ("paths",), path_sample_threshold=3, path_samples=4,
-            seed=seed, backend="python",
+        py = reference(
+            compute_metric_groups, g, ("paths",), path_sample_threshold=3,
+            path_samples=4, seed=seed,
         )
         cs = compute_metric_groups(
-            g, ("paths",), path_sample_threshold=3, path_samples=4,
-            seed=seed, backend="csr",
+            g, ("paths",), path_sample_threshold=3, path_samples=4, seed=seed,
         )
         assert_same(py, cs, label="sampled-paths")
 
@@ -125,30 +128,26 @@ class TestKernelEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_clustering_kernels(self, g):
         assert_same(
-            triangles_per_node(g, backend="python"),
-            triangles_per_node(g, backend="csr"),
+            reference(triangles_per_node, g),
+            triangles_per_node(g),
             label="triangles_per_node",
         )
-        assert total_triangles(g, backend="python") == total_triangles(
-            g, backend="csr"
-        )
+        assert reference(total_triangles, g) == total_triangles(g)
         assert_same(
-            local_clustering(g, backend="python"),
-            local_clustering(g, backend="csr"),
+            reference(local_clustering, g),
+            local_clustering(g),
             label="local_clustering",
         )
-        assert average_clustering(g, backend="python") == average_clustering(
-            g, backend="csr"
-        )
-        assert transitivity(g, backend="python") == transitivity(g, backend="csr")
+        assert reference(average_clustering, g) == average_clustering(g)
+        assert reference(transitivity, g) == transitivity(g)
         assert_same(
-            clustering_by_degree(g, backend="python"),
-            clustering_by_degree(g, backend="csr"),
+            reference(clustering_by_degree, g),
+            clustering_by_degree(g),
             label="clustering_by_degree",
         )
         assert_same(
-            clustering_spectrum(g, backend="python"),
-            clustering_spectrum(g, backend="csr"),
+            reference(clustering_spectrum, g),
+            clustering_spectrum(g),
             label="clustering_spectrum",
         )
 
@@ -156,41 +155,39 @@ class TestKernelEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_core_kernels(self, g):
         assert_same(
-            core_numbers(g, backend="python"),
-            core_numbers(g, backend="csr"),
+            reference(core_numbers, g),
+            core_numbers(g),
             label="core_numbers",
         )
-        assert degeneracy(g, backend="python") == degeneracy(g, backend="csr")
-        assert core_profile(g, backend="python") == core_profile(g, backend="csr")
+        assert reference(degeneracy, g) == degeneracy(g)
+        assert reference(core_profile, g) == core_profile(g)
 
     @given(graphs())
     @settings(max_examples=40, deadline=None)
     def test_correlation_kernels(self, g):
         assert_same(
-            average_neighbor_degree(g, backend="python"),
-            average_neighbor_degree(g, backend="csr"),
+            reference(average_neighbor_degree, g),
+            average_neighbor_degree(g),
             label="average_neighbor_degree",
         )
         assert_same(
-            knn_by_degree(g, backend="python"),
-            knn_by_degree(g, backend="csr"),
+            reference(knn_by_degree, g),
+            knn_by_degree(g),
             label="knn_by_degree",
         )
         assert_same(
-            knn_spectrum(g, backend="python"),
-            knn_spectrum(g, backend="csr"),
+            reference(knn_spectrum, g),
+            knn_spectrum(g),
             label="knn_spectrum",
         )
-        assert degree_assortativity(g, backend="python") == degree_assortativity(
-            g, backend="csr"
-        )
+        assert reference(degree_assortativity, g) == degree_assortativity(g)
 
     @given(graphs())
     @settings(max_examples=40, deadline=None)
     def test_richclub_kernel(self, g):
         assert_same(
-            rich_club_coefficient(g, backend="python"),
-            rich_club_coefficient(g, backend="csr"),
+            reference(rich_club_coefficient, g),
+            rich_club_coefficient(g),
             label="rich_club",
         )
 
@@ -198,36 +195,36 @@ class TestKernelEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_path_kernels(self, g):
         assert_same(
-            path_length_distribution(g, backend="python").counts,
-            path_length_distribution(g, backend="csr").counts,
+            reference(path_length_distribution, g).counts,
+            path_length_distribution(g).counts,
             label="path_counts",
         )
         assert_same(
-            eccentricities(g, backend="python"),
-            eccentricities(g, backend="csr"),
+            reference(eccentricities, g),
+            eccentricities(g),
             label="eccentricities",
         )
-        if is_connected(g, backend="python"):
-            assert diameter(g, backend="python") == diameter(g, backend="csr")
+        if reference(is_connected, g):
+            assert reference(diameter, g) == diameter(g)
         else:
             with pytest.raises(ValueError):
-                diameter(g, backend="csr")
+                diameter(g)
 
     @given(graphs())
     @settings(max_examples=40, deadline=None)
     def test_traversal_kernels(self, g):
-        py = connected_components(g, backend="python")
-        cs = connected_components(g, backend="csr")
+        py = reference(connected_components, g)
+        cs = connected_components(g)
         assert [len(c) for c in py] == [len(c) for c in cs]
         assert sorted(map(sorted_key, py)) == sorted(map(sorted_key, cs))
-        assert is_connected(g, backend="python") == is_connected(g, backend="csr")
+        assert reference(is_connected, g) == is_connected(g)
 
     @given(graphs())
     @settings(max_examples=25, deadline=None)
     def test_betweenness_within_tolerance(self, g):
         assert_same(
-            betweenness_centrality(g, backend="python"),
-            betweenness_centrality(g, backend="csr"),
+            reference(betweenness_centrality, g),
+            betweenness_centrality(g),
             rel=1e-9,
             label="betweenness",
         )
@@ -237,8 +234,8 @@ class TestKernelEquivalence:
     def test_pivot_betweenness_shares_pivots(self, g, seed):
         pivots = max(1, g.num_nodes // 2)
         assert_same(
-            approximate_betweenness(g, pivots, seed=seed, backend="python"),
-            approximate_betweenness(g, pivots, seed=seed, backend="csr"),
+            reference(approximate_betweenness, g, pivots, seed=seed),
+            approximate_betweenness(g, pivots, seed=seed),
             rel=1e-9,
             label="approx-betweenness",
         )

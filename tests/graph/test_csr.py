@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import Graph
-from repro.graph.csr import (
-    AUTO_CSR_THRESHOLD,
-    BACKENDS,
-    CSRView,
-    REPRO_BACKEND_ENV,
-    resolve_backend,
-)
+from repro.graph.csr import CSRView, resolve_backend
 from repro.graph.clustering import total_triangles
 
 
@@ -133,9 +127,9 @@ class TestCacheInvalidation:
         g = Graph()
         g.add_edge(0, 1)
         g.add_edge(1, 2)
-        assert total_triangles(g, backend="csr") == 0
+        assert total_triangles(g) == 0
         g.add_edge(0, 2)  # closes the triangle after the view was cached
-        assert total_triangles(g, backend="csr") == 1
+        assert total_triangles(g) == 1
 
     def test_old_view_unchanged_after_mutation(self):
         g = small_graph()
@@ -175,34 +169,18 @@ class TestFingerprint:
 
 
 class TestResolveBackend:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(REPRO_BACKEND_ENV, "csr")
-        assert resolve_backend("python", 10**6) == "python"
-        monkeypatch.setenv(REPRO_BACKEND_ENV, "python")
-        assert resolve_backend("csr", 1) == "csr"
+    """The perfbench-only shim: every accepted name resolves to csr."""
 
-    def test_auto_uses_threshold(self, monkeypatch):
-        monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
-        assert resolve_backend("auto", AUTO_CSR_THRESHOLD - 1) == "python"
-        assert resolve_backend("auto", AUTO_CSR_THRESHOLD) == "csr"
-
-    def test_auto_defers_to_env(self, monkeypatch):
-        monkeypatch.setenv(REPRO_BACKEND_ENV, "csr")
-        assert resolve_backend("auto", 1) == "csr"
-        monkeypatch.setenv(REPRO_BACKEND_ENV, "python")
-        assert resolve_backend("auto", 10**6) == "python"
+    def test_every_name_resolves_to_csr(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "python")  # no longer read
+        for name in ("auto", "python", "csr"):
+            for size in (0, 1, 299, 300, 10**6):
+                assert resolve_backend(name, size) == "csr"
+        assert resolve_backend() == "csr"
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError):
             resolve_backend("fortran", 10)
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(REPRO_BACKEND_ENV, "gpu")
-        with pytest.raises(ValueError):
-            resolve_backend("auto", 10)
-
-    def test_backends_constant(self):
-        assert BACKENDS == ("auto", "python", "csr")
 
 
 class TestFromGraphDirect:

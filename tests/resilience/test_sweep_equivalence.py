@@ -1,20 +1,18 @@
-"""Percolation equivalence suite: the CSR sweep IS the python reference.
+"""Percolation equivalence suite: the CSR sweeps against their oracles.
 
 The vectorized robustness battery (:mod:`repro.resilience.sweep`) promises
-bit-for-bit agreement with the slow reference
-(:func:`repro.resilience.attack.removal_sweep`) on every strategy, seed,
-and graph shape — the same contract the metric kernels carry.  These
-property tests enforce it on hypothesis-generated graphs covering isolated
-nodes, multi-component graphs, and duplicate-degree tie-breaking, plus:
+bit-for-bit agreement with the reference sweep
+(:func:`repro.resilience.attack.removal_sweep`) and the loops in
+:mod:`tests.resilience.oracles` on every strategy, seed, and graph shape.
+These property tests enforce it on hypothesis-generated graphs covering
+isolated nodes, multi-component graphs, and duplicate-degree
+tie-breaking, plus:
 
 * exact trajectory equality for the sampled path-inflation sweep (integer
   distance accumulation makes even the sampled means bit-identical);
 * a KS band tying the sweep's sampled sources to the full all-pairs
   distance population;
-* backend-selection identity: ``auto`` obeys ``REPRO_BACKEND`` and the
-  size threshold, observable on the ``resilience.sweep`` span;
-* cache neutrality: robustness cells computed on one backend satisfy
-  battery runs on the other, hit-for-hit.
+* the whole ``robustness`` bundle equal to the oracles' bundle.
 """
 
 import math
@@ -24,11 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.battery import run_battery
 from repro.generators import BarabasiAlbertGenerator
 from repro.graph import Graph
-from repro.graph.csr import AUTO_CSR_THRESHOLD
-from repro.obs.tracer import Tracer, set_tracer
 from repro.resilience import (
     AttackStrategy,
     link_redundancy,
@@ -39,6 +34,15 @@ from repro.resilience import (
     shortcut_fraction,
 )
 from repro.stats.rng import derive_seed, make_rng
+
+from ..graph.oracles import reference
+from .oracles import ORACLES
+
+
+def oracle(fn, *args, **kwargs):
+    """*fn*'s value with the robustness kernels swapped for their oracles."""
+    return reference(fn, *args, table=ORACLES, **kwargs)
+
 
 # Node-id pools exercising non-integer ids (positions must follow node
 # iteration order for any id type, not just integers).
@@ -98,13 +102,12 @@ class TestPercolationEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_bit_for_bit_all_strategies(self, g, strategy, seed, fraction, steps):
-        py = percolation_sweep(
-            g, strategy, max_fraction=fraction, steps=steps, seed=seed,
-            backend="python",
+        py = oracle(
+            percolation_sweep, g, strategy, max_fraction=fraction, steps=steps,
+            seed=seed,
         )
         cs = percolation_sweep(
             g, strategy, max_fraction=fraction, steps=steps, seed=seed,
-            backend="csr",
         )
         assert py == cs  # giant trajectories carry no NaN: exact dataclass equality
 
@@ -117,12 +120,10 @@ class TestPercolationEquivalence:
         g = Graph()
         for i in range(17):
             g.add_edge(i, (i + 1) % 17)
-        py = percolation_sweep(
-            g, strategy, max_fraction=1.0, steps=5, seed=seed, backend="python"
+        py = oracle(
+            percolation_sweep, g, strategy, max_fraction=1.0, steps=5, seed=seed
         )
-        cs = percolation_sweep(
-            g, strategy, max_fraction=1.0, steps=5, seed=seed, backend="csr"
-        )
+        cs = percolation_sweep(g, strategy, max_fraction=1.0, steps=5, seed=seed)
         assert py == cs
 
     def test_isolated_nodes_and_components(self):
@@ -132,40 +133,35 @@ class TestPercolationEquivalence:
         for u, v in [(0, 1), (1, 2), (2, 0), (5, 6), (6, 7), (9, 10)]:
             g.add_edge(u, v)
         for strategy in STRATEGIES:
-            py = percolation_sweep(
-                g, strategy, max_fraction=1.0, steps=4, seed=2, backend="python"
+            py = oracle(
+                percolation_sweep, g, strategy, max_fraction=1.0, steps=4, seed=2
             )
-            cs = percolation_sweep(
-                g, strategy, max_fraction=1.0, steps=4, seed=2, backend="csr"
-            )
+            cs = percolation_sweep(g, strategy, max_fraction=1.0, steps=4, seed=2)
             assert py == cs
             assert cs.giant_fractions[-1] == 0.0  # everything removed
 
     def test_python_backend_is_the_reference(self):
+        assert ORACLES[percolation_sweep] is removal_sweep
         g = BarabasiAlbertGenerator(m=2).generate(120, seed=4)
         direct = removal_sweep(g, AttackStrategy.DEGREE, steps=7, seed=6)
-        routed = percolation_sweep(
-            g, AttackStrategy.DEGREE, steps=7, seed=6, backend="python"
-        )
-        assert routed == direct
+        swept = percolation_sweep(g, AttackStrategy.DEGREE, steps=7, seed=6)
+        assert swept == direct
 
     def test_input_graph_untouched_by_csr_sweep(self):
         g = BarabasiAlbertGenerator(m=2).generate(150, seed=5)
         nodes, edges = g.num_nodes, g.num_edges
-        percolation_sweep(g, AttackStrategy.DEGREE, seed=1, backend="csr")
+        percolation_sweep(g, AttackStrategy.DEGREE, seed=1)
         assert (g.num_nodes, g.num_edges) == (nodes, edges)
 
     def test_validation_parity(self):
         g = BarabasiAlbertGenerator(m=2).generate(60, seed=1)
-        for backend in ("python", "csr"):
+        for sweep in (removal_sweep, percolation_sweep):
             with pytest.raises(ValueError):
-                percolation_sweep(g, max_fraction=0.0, backend=backend)
+                sweep(g, max_fraction=0.0)
             with pytest.raises(ValueError):
-                percolation_sweep(g, steps=0, backend=backend)
+                sweep(g, steps=0)
             with pytest.raises(ValueError):
-                percolation_sweep(Graph(), backend=backend)
-        with pytest.raises(ValueError):
-            percolation_sweep(g, backend="cuda")
+                sweep(Graph())
 
 
 class TestInflationEquivalence:
@@ -176,13 +172,12 @@ class TestInflationEquivalence:
     )
     @settings(max_examples=40, deadline=None)
     def test_bit_for_bit(self, g, strategy, seed):
-        py = path_inflation_sweep(
-            g, strategy, max_fraction=0.5, steps=3, samples=6, seed=seed,
-            backend="python",
+        py = oracle(
+            path_inflation_sweep, g, strategy, max_fraction=0.5, steps=3,
+            samples=6, seed=seed,
         )
         cs = path_inflation_sweep(
             g, strategy, max_fraction=0.5, steps=3, samples=6, seed=seed,
-            backend="csr",
         )
         assert_trajectories_equal(py, cs)
 
@@ -209,7 +204,7 @@ class TestInflationEquivalence:
 
         traj = path_inflation_sweep(
             g, AttackStrategy.RANDOM, max_fraction=0.3, steps=1,
-            samples=samples, seed=seed, backend="csr",
+            samples=samples, seed=seed,
         )
         expected_mean = int(sampled.sum(dtype=np.int64)) / int(sampled.size)
         assert traj.mean_distances[0] == expected_mean
@@ -226,29 +221,30 @@ class TestInflationEquivalence:
         for i in range(8):
             g.add_node(i)
         g.add_edge(0, 1)
-        py = path_inflation_sweep(
-            g, AttackStrategy.DEGREE, max_fraction=1.0, steps=2, samples=4,
-            seed=1, backend="python",
+        py = oracle(
+            path_inflation_sweep, g, AttackStrategy.DEGREE, max_fraction=1.0,
+            steps=2, samples=4, seed=1,
         )
         cs = path_inflation_sweep(
             g, AttackStrategy.DEGREE, max_fraction=1.0, steps=2, samples=4,
-            seed=1, backend="csr",
+            seed=1,
         )
         assert_trajectories_equal(py, cs)
         assert math.isnan(cs.mean_distances[-1])
 
     def test_samples_validation(self):
         g = BarabasiAlbertGenerator(m=2).generate(50, seed=1)
-        with pytest.raises(ValueError):
-            path_inflation_sweep(g, samples=0)
+        for sweep in (ORACLES[path_inflation_sweep], path_inflation_sweep):
+            with pytest.raises(ValueError):
+                sweep(g, samples=0)
 
 
 class TestRedundancyEquivalence:
     @given(graphs())
     @settings(max_examples=40, deadline=None)
     def test_shortcut_fraction_bit_for_bit(self, g):
-        py = shortcut_fraction(g, backend="python")
-        cs = shortcut_fraction(g, backend="csr")
+        py = oracle(shortcut_fraction, g)
+        cs = shortcut_fraction(g)
         if math.isnan(py):
             assert math.isnan(cs)
         else:
@@ -257,8 +253,8 @@ class TestRedundancyEquivalence:
     @given(graphs())
     @settings(max_examples=25, deadline=None)
     def test_link_redundancy_backend_neutral(self, g):
-        py = link_redundancy(g, backend="python")
-        cs = link_redundancy(g, backend="csr")
+        py = oracle(link_redundancy, g)
+        cs = link_redundancy(g)
         if math.isnan(py):
             assert math.isnan(cs)
         else:
@@ -277,63 +273,10 @@ class TestRedundancyEquivalence:
         assert math.isnan(link_redundancy(empty))
         assert math.isnan(shortcut_fraction(empty))
 
-
-def _sweep_backend_span(graph, backend, env=None, monkeypatch=None):
-    """Run one sweep under a capturing tracer; return the resolved backend
-    recorded on its ``resilience.sweep`` span."""
-    if env is not None:
-        monkeypatch.setenv("REPRO_BACKEND", env)
-    tracer = Tracer(enabled=True)
-    previous = set_tracer(tracer)
-    try:
-        percolation_sweep(graph, AttackStrategy.RANDOM, steps=2, seed=0, backend=backend)
-    finally:
-        set_tracer(previous)
-    spans = [s for s in tracer.spans if s.name == "resilience.sweep"]
-    assert len(spans) == 1
-    return spans[0].attrs["backend"]
-
-
-class TestBackendSelection:
-    def test_env_var_forces_backend(self, monkeypatch):
-        g = BarabasiAlbertGenerator(m=2).generate(60, seed=1)
-        assert _sweep_backend_span(g, "auto", env="csr", monkeypatch=monkeypatch) == "csr"
-        assert _sweep_backend_span(g, "auto", env="python", monkeypatch=monkeypatch) == "python"
-        # Explicit argument beats the environment.
-        assert _sweep_backend_span(g, "python", env="csr", monkeypatch=monkeypatch) == "python"
-
-    def test_auto_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        small = BarabasiAlbertGenerator(m=2).generate(AUTO_CSR_THRESHOLD - 50, seed=1)
-        large = BarabasiAlbertGenerator(m=2).generate(AUTO_CSR_THRESHOLD + 50, seed=1)
-        assert _sweep_backend_span(small, "auto") == "python"
-        assert _sweep_backend_span(large, "auto") == "csr"
-
-
-class TestCacheBackendNeutrality:
-    def test_cells_cross_satisfy_backends(self, tmp_path):
-        cache = tmp_path / "cells"
-        kwargs = dict(n=120, seeds=2, base_seed=9, groups=("robustness",))
-        cold = run_battery(["barabasi-albert"], cache=str(cache), backend="python", **kwargs)
-        assert cold.stats.misses > 0 and cold.stats.hits == 0
-        warm = run_battery(["barabasi-albert"], cache=str(cache), backend="csr", **kwargs)
-        assert warm.stats.misses == 0
-        assert warm.stats.hits == cold.stats.misses
-        for before, after in zip(
-            cold.entries[0].summaries, warm.entries[0].summaries
-        ):
-            assert set(before.values) == set(after.values)
-            for key, value in before.values.items():
-                other = after.values[key]
-                if isinstance(value, float) and math.isnan(value):
-                    assert math.isnan(other)
-                else:
-                    assert value == other
-
-    def test_robustness_summary_backend_identity(self):
+    def test_robustness_summary_identity(self):
         g = BarabasiAlbertGenerator(m=2).generate(200, seed=8)
-        py = robustness_summary(g, seed=5, backend="python")
-        cs = robustness_summary(g, seed=5, backend="csr")
+        py = oracle(robustness_summary, g, seed=5)
+        cs = robustness_summary(g, seed=5)
         assert set(py) == set(cs)
         for key, value in py.items():
             if math.isnan(value):

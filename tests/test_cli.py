@@ -189,7 +189,7 @@ class TestJournalCommand:
     def test_spans_aggregates_a_trace(self, artifacts, capsys):
         _, trace = artifacts
         # --top wide enough that the battery span always makes the cut:
-        # with the CSR backend the metric spans are small, so `battery`
+        # the CSR metric kernels keep the metric spans small, so `battery`
         # no longer ranks in the top 3 by share.
         assert main(["journal", "spans", str(trace), "--top", "8"]) == 0
         out = capsys.readouterr().out
