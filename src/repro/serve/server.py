@@ -33,8 +33,21 @@ Endpoints
     Full metric groups for the stored world via the warm pool
     (fingerprint-keyed cells, zero generations).
 
-Error mapping: malformed requests → 400, unknown paths/worlds → 404,
-store conflicts → 409, a full job queue → 503 with ``Retry-After``.
+Error mapping: malformed requests → 400 (a ``Content-Length`` that is
+not a non-negative integer included), unknown paths/worlds → 404, store
+conflicts → 409, a full job queue → 503 with ``Retry-After``.
+
+Wire
+----
+HTTP/1.1 keep-alive with ``TCP_NODELAY`` on every accepted connection.
+Headers and body leave in two writes; under Nagle the body would wait
+for the ACK of the headers, which a keep-alive client delays ~40 ms, so
+nearly every request on a reused connection would stall that long.
+``wfile`` stays unbuffered so an ``Expect: 100-continue`` client gets
+its interim ``100 Continue`` at once, not after it has sent the body. A
+body the service rejects unread (a bad or oversized ``Content-Length``)
+closes its connection, so those bytes are never parsed as the next
+request.
 """
 
 from __future__ import annotations
@@ -82,6 +95,7 @@ class TopologyServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # see "Wire" in the module docstring
 
     # ------------------------------------------------------------- plumbing
 
@@ -90,13 +104,21 @@ class _Handler(BaseHTTPRequestHandler):
         # per request would drown the terminal the service runs in.
         pass
 
-    def _send_json(self, status: int, body: Dict[str, Any], retry: bool = False) -> None:
+    def _send_json(
+        self,
+        status: int,
+        body: Dict[str, Any],
+        retry: bool = False,
+        close: bool = False,
+    ) -> None:
         data = json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         if retry:
             self.send_header("Retry-After", "1")
+        if close:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(data)
 
@@ -108,19 +130,34 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    def _body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _body(self) -> Optional[Dict[str, Any]]:
+        """The request's JSON object body, or ``None`` once a 400 is sent.
+
+        A body rejected unread closes the connection: its bytes would
+        otherwise be parsed as the next request. A body read in full but
+        not a JSON object keeps the connection open.
+        """
+        value = (self.headers.get("Content-Length") or "0").strip()
+        if not (value.isascii() and value.isdigit()):
+            error = f"Content-Length must be a non-negative integer, got {value!r}"
+            self._send_json(400, {"error": error}, close=True)
+            return None
+        length = int(value)
         if length > _MAX_BODY:
-            raise ServeError(f"request body too large ({length} bytes)")
+            error = f"request body too large ({length} bytes)"
+            self._send_json(400, {"error": error}, close=True)
+            return None
         if length == 0:
             return {}
         raw = self.rfile.read(length)
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ServeError(f"request body is not valid JSON: {exc}")
+            self._send_json(400, {"error": f"request body is not valid JSON: {exc}"})
+            return None
         if not isinstance(body, dict):
-            raise ServeError("request body must be a JSON object")
+            self._send_json(400, {"error": "request body must be a JSON object"})
+            return None
         return body
 
     def _dispatch(self, op: str, params: Dict[str, Any]) -> None:
@@ -199,10 +236,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802
         path, _ = self._route()
-        try:
-            body = self._body()
-        except ServeError as exc:
-            self._send_json(400, {"error": str(exc)})
+        body = self._body()
+        if body is None:
             return
         if path in ("/summarize", "/generate", "/compare"):
             self._dispatch(path.lstrip("/"), body)
@@ -211,10 +246,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_PUT(self) -> None:  # noqa: N802
         path, _ = self._route()
-        try:
-            body = self._body()
-        except ServeError as exc:
-            self._send_json(400, {"error": str(exc)})
+        body = self._body()
+        if body is None:
             return
         parts = path.strip("/").split("/")
         if parts[0] == "worlds" and len(parts) == 2:

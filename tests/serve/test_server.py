@@ -3,13 +3,20 @@
 One module-scoped server backs every test: the HTTP front is a thin
 blocking shim over the dispatcher, so what these tests pin is the wire
 contract — routes, JSON shapes, the error-to-status mapping (400/404/
-409/503), the Prometheus exposition of ``/metrics``, the named-world
-endpoints against a real :class:`~repro.store.store.GraphStore`, and the
+409/503), keep-alive without a delayed-ACK stall, ``100 Continue``,
+request-body framing over raw sockets, the Prometheus exposition of
+``/metrics``, the named-world endpoints against a real
+:class:`~repro.store.store.GraphStore`, and the
 :func:`~repro.serve.loadgen.run_load` harness end to end.
 """
 
+import http.client
 import json
+import socket
+import statistics
+import time
 import urllib.request
+from urllib.parse import urlparse
 
 import pytest
 
@@ -118,6 +125,111 @@ class TestErrorMapping:
         with pytest.raises(ServeClientError) as excinfo:
             client.health()
         assert excinfo.value.status == 0
+
+
+def _address(service):
+    parsed = urlparse(service.base_url)
+    return parsed.hostname, parsed.port
+
+
+def _recv(sock, until=None):
+    """Bytes from *sock* through *until*, or up to EOF when it is None."""
+    received = b""
+    while until is None or until not in received:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        received += chunk
+    return received
+
+
+class TestWire:
+    """Keep-alive, interim responses and body framing, seen from the socket.
+
+    Every socket carries a timeout, so a server that stalls or leaves a
+    connection open fails the test instead of hanging it.
+    """
+
+    SUMMARIZE = json.dumps({"model": MODEL, "n": N, "seed": 1})
+
+    def test_keep_alive_round_trips_do_not_stall(self, service):
+        # Under Nagle a response's second write (the body) waits for the
+        # client's delayed ACK of the first: ~40 ms per reused-connection
+        # request.
+        service.summarize(MODEL, N, seed=1)  # the summarize below is a hit
+        conn = http.client.HTTPConnection(*_address(service), timeout=30)
+        try:
+            for method, path, body in (
+                ("GET", "/health", None),
+                ("POST", "/summarize", self.SUMMARIZE),
+            ):
+                seconds = []
+                for _ in range(20):
+                    start = time.perf_counter()
+                    conn.request(method, path, body=body)
+                    response = conn.getresponse()
+                    response.read()
+                    seconds.append(time.perf_counter() - start)
+                    assert response.status == 200
+                    assert not response.will_close
+                assert statistics.median(seconds) < 0.020, (path, seconds)
+        finally:
+            conn.close()
+
+    def test_expect_100_continue_arrives_before_the_body(self, service):
+        body = self.SUMMARIZE.encode()
+        with socket.create_connection(_address(service), timeout=30) as sock:
+            sock.sendall(
+                b"POST /summarize HTTP/1.1\r\nHost: test\r\n"
+                b"Expect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            sock.settimeout(1.0)
+            interim = _recv(sock, until=b"\r\n\r\n")
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.settimeout(30)
+            sock.sendall(body)
+            response = http.client.HTTPResponse(sock, method="POST")
+            response.begin()
+            assert response.status == 200
+            assert json.loads(response.read())["values"]["num_nodes"] == N
+
+    @pytest.mark.parametrize(
+        "length", ["abc", "-1", str(2 << 20)], ids=["text", "negative", "oversized"]
+    )
+    def test_body_rejected_unread_closes_the_connection(self, service, length):
+        # The request line after the headers would be answered as a second
+        # request if the rejected body's connection stayed open.
+        with socket.create_connection(_address(service), timeout=5) as sock:
+            sock.sendall(
+                b"POST /summarize HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+                b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+            )
+            received = _recv(sock)
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["error"]
+
+    @pytest.mark.parametrize(
+        "body", [b"{not json", b"[1, 2]"], ids=["invalid", "array"]
+    )
+    def test_body_read_in_full_keeps_the_connection(self, service, body):
+        conn = http.client.HTTPConnection(*_address(service), timeout=30)
+        try:
+            conn.request("POST", "/summarize", body=body)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 400
+            assert not response.will_close
+            sock = conn.sock
+            conn.request("GET", "/health")
+            assert conn.getresponse().status == 200
+            assert conn.sock is sock
+        finally:
+            conn.close()
 
 
 class TestWorlds:
