@@ -94,7 +94,7 @@ from .report import format_table, shorten
 from .transport import (
     SharedGraphHandle,
     SnapshotSpool,
-    attach_graph,
+    attach_view,
     publish_graph,
     resolve_mp_context,
     resolve_transport,
@@ -630,8 +630,10 @@ def _battery_task(task):
     """Worker kernel: one unit of the task protocol (see :func:`unit_task`).
 
     Generates ``task["source"]`` when it is a generator, else attaches
-    the :class:`~repro.core.transport.SharedGraphHandle` (served from this
-    process's transport attach cache after the first touch); publishes
+    the :class:`~repro.core.transport.SharedGraphHandle` as its shared
+    :class:`~repro.graph.csr.CSRView` (served from this process's
+    transport attach cache after the first touch; no :class:`Graph` is
+    materialized, the metric groups read the view); publishes
     the topology at ``task["spool_path"]`` when one is named — the handle
     rides back in the obs payload under ``"handle"``; and computes
     ``task["groups"]``.
@@ -665,18 +667,20 @@ def _battery_task(task):
                 seed=seed, kind=unit["kind"],
             ):
                 if isinstance(source, SharedGraphHandle):
-                    graph = attach_graph(source)
+                    topology = attach_view(source)
                 else:
                     n = task["n"]
                     start = time.perf_counter()
                     with tracer.span("generate", model=model, n=n):
-                        graph = source.generate(n, seed=seed)
+                        topology = source.generate(n, seed=seed)
                     gen_seconds = time.perf_counter() - start
                 if task["spool_path"] is not None:
-                    handle = publish_graph(graph, task["spool_path"], name=model or "")
+                    handle = publish_graph(
+                        topology, task["spool_path"], name=model or ""
+                    )
                 if task["groups"]:
                     values, timings = compute_metric_groups(
-                        graph, task["groups"], seed=seed, with_timings=True,
+                        topology, task["groups"], seed=seed, with_timings=True,
                         **task["sum_params"],
                     )
     finally:

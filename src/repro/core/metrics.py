@@ -4,7 +4,9 @@
 uses on one topology and returns a :class:`TopologySummary`.  Conventions
 follow the AS-map papers:
 
-* everything is measured on the **giant component**;
+* everything is measured on the **giant component**, a boolean mask over
+  the topology's one :class:`~repro.graph.csr.CSRView` (never a second
+  graph or view);
 * path lengths are BFS-sampled above ``path_sample_threshold`` nodes;
 * the degree exponent uses the CSN discrete MLE with automatic x_min, and
   is reported as NaN when no power-law tail is fittable (e.g. ER graphs) —
@@ -16,15 +18,21 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from ..graph.clustering import average_clustering, total_triangles, transitivity
-from ..graph.cores import degeneracy
-from ..graph.correlations import degree_assortativity
-from ..graph.csr import resolve_backend
+import numpy as np
+
+from ..graph.clustering import (
+    local_clustering_array,
+    transitivity_ratio,
+    triangle_counts,
+)
+from ..graph.cores import coreness
+from ..graph.correlations import edge_assortativity
+from ..graph.csr import CSRView, resolve_backend
 from ..graph.graph import Graph
-from ..graph.shortest_paths import path_length_distribution
-from ..graph.traversal import giant_component
+from ..graph.shortest_paths import path_length_stats
+from ..graph.traversal import giant_mask
 from ..obs.metrics import get_registry
 from ..obs.tracer import get_tracer
 from ..stats.powerlaw import fit_powerlaw_auto_xmin
@@ -231,58 +239,100 @@ def summarize(
     )
 
 
-def _group_size(gc: Graph, original_n: int, **_) -> Dict[str, float]:
-    n = gc.num_nodes
+# Every group measures the giant component: *view* is the whole topology
+# and *mask* selects the giant's positions.  Triangles, coreness and
+# distances never cross components, so a kernel may run on the whole view
+# and keep the giant's positions; each value is bit-identical to the same
+# kernel run on the giant as a graph of its own.
+
+
+def _group_size(view: CSRView, mask: np.ndarray, **_) -> Dict[str, float]:
+    degrees = view.degrees[mask]
+    n = int(degrees.size)
+    # Every edge of a giant node stays inside the giant: half the degree
+    # mass counts its edges.
+    edges = int(degrees.sum()) // 2
+    max_degree = int(degrees.max())
     return {
         "num_nodes": n,
-        "num_edges": gc.num_edges,
-        "average_degree": gc.average_degree,
-        "max_degree": gc.max_degree,
-        "max_degree_fraction": gc.max_degree / n,
-        "giant_fraction": n / original_n,
+        "num_edges": edges,
+        "average_degree": 2.0 * edges / n,
+        "max_degree": max_degree,
+        "max_degree_fraction": max_degree / n,
+        "giant_fraction": n / view.num_nodes,
     }
 
 
-def _group_tail(gc: Graph, min_tail: int = 50, **_) -> Dict[str, float]:
-    degrees = list(gc.degrees().values())
+def _group_tail(
+    view: CSRView, mask: np.ndarray, min_tail: int = 50, **_
+) -> Dict[str, float]:
     try:
-        fit = fit_powerlaw_auto_xmin(degrees, min_tail=min_tail)
+        fit = fit_powerlaw_auto_xmin(view.degrees[mask].tolist(), min_tail=min_tail)
         gamma, gamma_sigma = fit.gamma, fit.sigma
     except ValueError:
         gamma, gamma_sigma = float("nan"), float("nan")
     return {"degree_exponent": gamma, "degree_exponent_sigma": gamma_sigma}
 
 
-def _group_clustering(gc: Graph, **_) -> Dict[str, float]:
+def _group_clustering(view: CSRView, mask: np.ndarray, **_) -> Dict[str, float]:
+    degrees = view.degrees[mask]
+    triangles = triangle_counts(view)[mask]
+    local = local_clustering_array(degrees, triangles).tolist()
+    total = int(triangles.sum()) // 3
     return {
-        "average_clustering": average_clustering(gc),
-        "transitivity": transitivity(gc),
-        "triangles": total_triangles(gc),
+        # Python's sum in position order, as average_clustering adds.
+        "average_clustering": sum(local) / len(local),
+        "transitivity": transitivity_ratio(degrees, total),
+        "triangles": total,
     }
 
 
-def _group_mixing(gc: Graph, **_) -> Dict[str, float]:
-    return {"assortativity": degree_assortativity(gc)}
+def _group_mixing(view: CSRView, mask: np.ndarray, **_) -> Dict[str, float]:
+    u, v, _ = view.edge_arrays()
+    inside = mask[u]
+    return {"assortativity": edge_assortativity(view.degrees, u[inside], v[inside])}
 
 
-def _group_core(gc: Graph, **_) -> Dict[str, float]:
-    return {"degeneracy": degeneracy(gc)}
+def _group_core(view: CSRView, mask: np.ndarray, **_) -> Dict[str, float]:
+    return {"degeneracy": int(coreness(view)[mask].max())}
 
 
 def _group_paths(
-    gc: Graph,
+    view: CSRView,
+    mask: np.ndarray,
     path_sample_threshold: int = 1500,
     path_samples: int = 400,
     seed: SeedLike = 0,
     **_,
 ) -> Dict[str, float]:
-    max_sources = None if gc.num_nodes <= path_sample_threshold else path_samples
-    paths = path_length_distribution(gc, max_sources=max_sources, seed=seed)
+    positions = np.flatnonzero(mask).tolist()
+    max_sources = None if len(positions) <= path_sample_threshold else path_samples
+    paths = path_length_stats(view, positions, max_sources=max_sources, seed=seed)
     return {"average_path_length": paths.mean}
 
 
-def _group_robustness(gc: Graph, seed: SeedLike = 0, **_) -> Dict[str, float]:
-    """The T5 behavioral bundle, measured on the giant component.
+def _giant_graph(view: CSRView, mask: np.ndarray) -> Graph:
+    """The giant as a :class:`Graph`: nodes in position order, edges in
+    row order."""
+    nodes = view.nodes
+    graph = Graph()
+    graph.add_nodes(nodes[i] for i in np.flatnonzero(mask).tolist())
+    us, vs, ws = view.edge_arrays()
+    inside = mask[us]
+    graph.add_edges(
+        (nodes[u], nodes[v], w)
+        for u, v, w in zip(
+            us[inside].tolist(), vs[inside].tolist(), ws[inside].tolist()
+        )
+    )
+    return graph
+
+
+def _group_robustness(
+    view: CSRView, mask: np.ndarray, seed: SeedLike = 0, **_
+) -> Dict[str, float]:
+    """The T5 behavioral bundle, measured on the giant component — the one
+    group whose kernels take a :class:`Graph`, so it builds one.
 
     Lazy import: ``repro.resilience`` pulls in the sweep kernels, which the
     default scalar battery never needs.
@@ -290,6 +340,7 @@ def _group_robustness(gc: Graph, seed: SeedLike = 0, **_) -> Dict[str, float]:
     from ..analysis.percolation import critical_failure_fraction
     from ..resilience.sweep import robustness_summary
 
+    gc = _giant_graph(view, mask)
     values = robustness_summary(gc, seed=seed)
     try:
         values["molloy_reed_fc"] = critical_failure_fraction(gc)
@@ -310,7 +361,7 @@ _GROUP_FUNCTIONS = {
 
 
 def compute_metric_groups(
-    graph: Graph,
+    topology: Union[Graph, CSRView],
     groups: Sequence[str],
     path_sample_threshold: int = 1500,
     path_samples: int = 400,
@@ -325,6 +376,13 @@ def compute_metric_groups(
     in *groups* is computed independently on the (shared) giant component, so
     a caller holding cached values for some groups only pays for the missing
     ones.  ``summarize`` is exactly the merge of all groups.
+
+    *topology* is a :class:`CSRView` (an attached or stored snapshot) or a
+    :class:`Graph`, which contributes its cached ``graph.csr()``.  One
+    components pass finds the giant as a boolean mask over that view, and
+    every group reads the view under the mask: no giant graph, subgraph or
+    second view is built (``robustness`` alone builds a :class:`Graph` of
+    the giant, for its Graph-based kernels).
 
     *backend* is accepted only for perfbench's world-store check, which
     still passes ``backend="python"``: the name is validated by
@@ -343,22 +401,23 @@ def compute_metric_groups(
     if unknown:
         known = ", ".join(sorted(_GROUP_FUNCTIONS))
         raise KeyError(f"unknown metric group(s) {unknown!r}; available: {known}")
+    view = topology.csr() if isinstance(topology, Graph) else topology
     tracer = get_tracer()
-    original_n = graph.num_nodes
     giant_started = time.perf_counter()
-    with tracer.span("giant", n=original_n):
-        gc = giant_component(graph)
+    with tracer.span("giant", n=view.num_nodes):
+        mask = giant_mask(view)
+        giant_n = int(np.count_nonzero(mask))
     giant_seconds = time.perf_counter() - giant_started
-    if gc.num_nodes == 0:
+    if giant_n == 0:
         raise ValueError("cannot summarize an empty graph")
     out: Dict[str, Dict[str, float]] = {}
     timings: Dict[str, float] = {"giant": giant_seconds}
     for group in groups:
         group_started = time.perf_counter()
-        with tracer.span(f"metric.{group}", n=gc.num_nodes):
+        with tracer.span(f"metric.{group}", n=giant_n):
             out[group] = _GROUP_FUNCTIONS[group](
-                gc,
-                original_n=original_n,
+                view,
+                mask,
                 path_sample_threshold=path_sample_threshold,
                 path_samples=path_samples,
                 min_tail=min_tail,

@@ -14,9 +14,13 @@ from typing import Dict, Hashable, List, Tuple
 import numpy as np
 
 from ..stats.distributions import binned_spectrum
+from .csr import CSRView
 from .graph import Graph
 
 __all__ = [
+    "triangle_counts",
+    "local_clustering_array",
+    "transitivity_ratio",
     "triangles_per_node",
     "total_triangles",
     "local_clustering",
@@ -29,8 +33,8 @@ __all__ = [
 Node = Hashable
 
 
-def _triangle_array_csr(graph: Graph) -> np.ndarray:
-    """Per-position triangle counts on the CSR view.
+def triangle_counts(view: CSRView) -> np.ndarray:
+    """Triangles through each position of *view* (int64).
 
     The view's rows are sorted, so ``A·A`` restricted to the nonzeros of
     ``A`` (sparse matmul + elementwise mask) counts, for every connected
@@ -38,7 +42,6 @@ def _triangle_array_csr(graph: Graph) -> np.ndarray:
     array form.  Row-summing gives twice the per-node triangle count, all
     in exact int64 arithmetic.
     """
-    view = graph.csr()
     if view.num_edges == 0:
         return np.zeros(view.num_nodes, dtype=np.int64)
     adjacency = view.unweighted_sparse()
@@ -47,16 +50,36 @@ def _triangle_array_csr(graph: Graph) -> np.ndarray:
     return doubled // 2
 
 
+def local_clustering_array(degrees: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Watts–Strogatz coefficients ``c_i = 2 T_i / (k_i (k_i - 1))`` from
+    aligned degree and triangle arrays; 0 where ``k_i < 2`` (float64, each
+    value the same float the scalar formula gives)."""
+    out = np.zeros(degrees.size, dtype=np.float64)
+    wide = degrees >= 2
+    k = degrees[wide]
+    out[wide] = 2.0 * triangles[wide] / (k * (k - 1))
+    return out
+
+
+def transitivity_ratio(degrees: np.ndarray, triangles: int) -> float:
+    """``3 × triangles / connected triples`` for a degree array holding
+    *triangles* triangles; 0.0 when there are no triples."""
+    triples = int((degrees * (degrees - 1) // 2).sum())
+    if triples == 0:
+        return 0.0
+    return 3.0 * triangles / triples
+
+
 def triangles_per_node(graph: Graph) -> Dict[Node, int]:
     """Number of triangles through each node (exact integer counts via
-    the sparse-matrix intersection of :func:`_triangle_array_csr`)."""
-    per_position = _triangle_array_csr(graph)
-    return {node: int(per_position[i]) for i, node in enumerate(graph.csr().nodes)}
+    the sparse-matrix intersection of :func:`triangle_counts`)."""
+    view = graph.csr()
+    return dict(zip(view.nodes, triangle_counts(view).tolist()))
 
 
 def total_triangles(graph: Graph) -> int:
     """Total number of distinct triangles in the graph."""
-    return int(_triangle_array_csr(graph).sum()) // 3
+    return int(triangle_counts(graph.csr()).sum()) // 3
 
 
 def local_clustering(graph: Graph) -> Dict[Node, float]:
@@ -64,15 +87,9 @@ def local_clustering(graph: Graph) -> Dict[Node, float]:
 
     ``c_i = 2 T_i / (k_i (k_i - 1))``; nodes of degree < 2 get 0.
     """
-    triangles = triangles_per_node(graph)
-    out: Dict[Node, float] = {}
-    for node in graph.nodes():
-        k = graph.degree(node)
-        if k < 2:
-            out[node] = 0.0
-        else:
-            out[node] = 2.0 * triangles[node] / (k * (k - 1))
-    return out
+    view = graph.csr()
+    values = local_clustering_array(view.degrees, triangle_counts(view))
+    return dict(zip(view.nodes, values.tolist()))
 
 
 def average_clustering(graph: Graph, count_low_degree: bool = True) -> float:
@@ -94,11 +111,7 @@ def average_clustering(graph: Graph, count_low_degree: bool = True) -> float:
 
 def transitivity(graph: Graph) -> float:
     """Global transitivity: 3 × triangles / connected triples."""
-    triangles = total_triangles(graph)
-    triples = sum(k * (k - 1) // 2 for k in graph.degrees().values())
-    if triples == 0:
-        return 0.0
-    return 3.0 * triangles / triples
+    return transitivity_ratio(graph.csr().degrees, total_triangles(graph))
 
 
 def clustering_by_degree(graph: Graph) -> Dict[int, float]:

@@ -17,24 +17,29 @@ from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
 
+from .csr import CSRView
 from .graph import Graph
 
-__all__ = ["core_numbers", "k_core", "CoreProfile", "core_profile", "degeneracy"]
+__all__ = [
+    "coreness",
+    "core_numbers",
+    "k_core",
+    "CoreProfile",
+    "core_profile",
+    "degeneracy",
+]
 
 Node = Hashable
 
 
-def core_numbers(graph: Graph) -> Dict[Node, int]:
-    """Coreness of every node via bucket peeling on the CSR view.
+def coreness(view: CSRView) -> np.ndarray:
+    """Coreness of every position of *view* (int64) via bucket peeling.
 
     Whole degree-≤k shells are peeled per pass with array masks, and the
     neighbor-degree decrements land via one ``np.bincount`` per cascade
     step.
     """
-    view = graph.csr()
     n = view.num_nodes
-    if n == 0:
-        return {}
     degrees = view.degrees.copy()
     core = np.zeros(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
@@ -53,7 +58,13 @@ def core_numbers(graph: Graph) -> Dict[Node, int]:
             block = block[alive[block]]
             if block.size:
                 degrees -= np.bincount(block, minlength=n)
-    return {node: int(core[i]) for i, node in enumerate(view.nodes)}
+    return core
+
+
+def core_numbers(graph: Graph) -> Dict[Node, int]:
+    """Coreness of every node (the :func:`coreness` peel on the CSR view)."""
+    view = graph.csr()
+    return dict(zip(view.nodes, coreness(view).tolist()))
 
 
 def k_core(graph: Graph, k: int) -> Graph:

@@ -23,6 +23,7 @@ __all__ = [
     "knn_spectrum",
     "normalized_knn_spectrum",
     "degree_assortativity",
+    "edge_assortativity",
 ]
 
 Node = Hashable
@@ -97,20 +98,18 @@ def normalized_knn_spectrum(
     ]
 
 
-def degree_assortativity(graph: Graph) -> float:
-    """Pearson correlation of degrees across edges (Newman's r).
+def edge_assortativity(degrees: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """Newman's r over the edges ``(u[i], v[i])`` (position arrays, each
+    undirected edge once), with *degrees* indexed by position.
 
-    Computed over edge endpoint pairs, each undirected edge contributing
-    both orientations.  Returns 0.0 when the variance vanishes (e.g. a
-    regular graph), where r is undefined.  Every accumulated sum is an
-    exact int64 reduction over the CSR edge arrays.
+    Each edge contributes both orientations.  Every accumulated sum is an
+    exact int64 reduction; returns 0.0 when there are no edges or the
+    variance vanishes (e.g. a regular graph), where r is undefined.
     """
-    view = graph.csr()
-    u, v, _ = view.edge_arrays()
     if u.size == 0:
         return 0.0
-    ku = view.degrees[u]
-    kv = view.degrees[v]
+    ku = degrees[u]
+    kv = degrees[v]
     sum_x = float(int(ku.sum()) + int(kv.sum()))
     sum_x2 = float(int((ku * ku).sum()) + int((kv * kv).sum()))
     sum_xy = float(2 * int((ku * kv).sum()))
@@ -121,3 +120,16 @@ def degree_assortativity(graph: Graph) -> float:
         return 0.0
     cov = sum_xy / count - mean_x * mean_x
     return cov / var_x
+
+
+def degree_assortativity(graph: Graph) -> float:
+    """Pearson correlation of degrees across edges (Newman's r).
+
+    Computed over edge endpoint pairs, each undirected edge contributing
+    both orientations, by :func:`edge_assortativity` over the CSR edge
+    arrays.  Returns 0.0 when the variance vanishes (e.g. a regular
+    graph), where r is undefined.
+    """
+    view = graph.csr()
+    u, v, _ = view.edge_arrays()
+    return edge_assortativity(view.degrees, u, v)

@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..stats.rng import SeedLike, make_rng
+from .csr import CSRView
 from .graph import Graph
 
 __all__ = [
     "PathLengthStats",
     "path_length_distribution",
+    "path_length_stats",
     "average_path_length",
     "eccentricities",
     "diameter",
@@ -78,20 +80,12 @@ def path_length_distribution(
     With *max_sources* set and smaller than N, BFS roots are sampled
     uniformly without replacement; otherwise every node is a root and the
     counts are exact (each unordered pair contributes twice, which cancels
-    in all normalized statistics).  Roots are sampled from the node ids in
-    graph iteration order and run as batched BFS on the CSR view.
+    in all normalized statistics).  Roots are drawn as
+    :func:`path_length_stats` draws them, over every node in graph
+    iteration order.
     """
-    nodes = list(graph.nodes())
-    if not nodes:
-        return PathLengthStats(counts={}, sources=0, exact=True)
-    exact = max_sources is None or max_sources >= len(nodes)
-    if exact:
-        sources = nodes
-    else:
-        rng = make_rng(seed)
-        sources = rng.sample(nodes, max_sources)
-    counts = _distance_counts_csr(graph, sources)
-    return PathLengthStats(counts=counts, sources=len(sources), exact=exact)
+    view = graph.csr()
+    return path_length_stats(view, range(view.num_nodes), max_sources, seed)
 
 
 #: Sources per batched-BFS chunk: large enough to amortize per-level array
@@ -99,17 +93,28 @@ def path_length_distribution(
 _BFS_BATCH = 512
 
 
-def _source_positions(view, sources) -> np.ndarray:
-    index = view.index
-    return np.fromiter(
-        (index[s] for s in sources), dtype=np.int64, count=len(sources)
-    )
+def path_length_stats(
+    view: CSRView,
+    candidates: Sequence[int],
+    max_sources: Optional[int] = None,
+    seed: SeedLike = None,
+) -> PathLengthStats:
+    """Hop-count distribution from BFS roots among *candidates* (positions
+    of *view*, in position order), run as batched BFS on the view.
 
-
-def _distance_counts_csr(graph: Graph, sources) -> Dict[int, int]:
-    """Aggregate positive BFS distance counts over *sources* (CSR path)."""
-    view = graph.csr()
-    positions = _source_positions(view, sources)
+    With *max_sources* set and smaller than the candidate count, the roots
+    are ``rng.sample(candidates, max_sources)``; ``random.sample`` picks by
+    index alone, so these are the nodes a sample over the candidates' node
+    ids would pick.  Otherwise every candidate is a root.
+    """
+    if not candidates:
+        return PathLengthStats(counts={}, sources=0, exact=True)
+    exact = max_sources is None or max_sources >= len(candidates)
+    if exact:
+        sources = candidates
+    else:
+        sources = make_rng(seed).sample(candidates, max_sources)
+    positions = np.asarray(sources, dtype=np.int64)
     totals = np.zeros(1, dtype=np.int64)
     for start in range(0, positions.size, _BFS_BATCH):
         distances = view.distance_batch(positions[start : start + _BFS_BATCH])
@@ -122,7 +127,8 @@ def _distance_counts_csr(graph: Graph, sources) -> Dict[int, int]:
             grown[: totals.size] = totals
             totals = grown
         totals[: per_chunk.size] += per_chunk
-    return {d: int(c) for d, c in enumerate(totals.tolist()) if c}
+    counts = {d: int(c) for d, c in enumerate(totals.tolist()) if c}
+    return PathLengthStats(counts=counts, sources=len(sources), exact=exact)
 
 
 def average_path_length(

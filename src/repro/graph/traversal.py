@@ -3,6 +3,9 @@
 Foundation for the distance-based metrics: single-source BFS levels,
 connected components, and giant-component extraction (every validation
 metric in the literature is computed on the giant component of the map).
+:func:`giant_mask` finds the giant as a boolean mask over a
+:class:`~repro.graph.csr.CSRView`, which is how the metric battery and
+the store measure it without building a second graph.
 """
 
 from __future__ import annotations
@@ -12,12 +15,15 @@ from typing import Dict, Hashable, List, Optional, Set
 
 import numpy as np
 
+from .csr import CSRView
 from .graph import Graph
 
 __all__ = [
     "bfs_distances",
     "bfs_tree",
     "connected_components",
+    "component_labels",
+    "giant_mask",
     "is_connected",
     "giant_component",
 ]
@@ -107,9 +113,45 @@ def is_connected(graph: Graph) -> bool:
     return int((view.bfs_distances(0) >= 0).sum()) == view.num_nodes
 
 
+def component_labels(view: CSRView) -> np.ndarray:
+    """Connected-component label per array position of *view* (int32).
+
+    One ``scipy.sparse.csgraph`` pass over a 0/1 adjacency whose data
+    array is ``int8``; the view's ``indices``/``indptr`` (memory-mapped
+    ones included) are shared, not copied.  Components are numbered in
+    order of their lowest position.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components as label_components
+
+    n = view.num_nodes
+    if n == 0:
+        return np.empty(0, dtype=np.int32)
+    adjacency = csr_matrix(
+        (np.ones(len(view.indices), dtype=np.int8), view.indices, view.indptr),
+        shape=(n, n),
+    )
+    _, labels = label_components(adjacency, directed=False)
+    return labels
+
+
+def giant_mask(view: CSRView) -> np.ndarray:
+    """Boolean mask over *view*'s positions selecting its largest
+    connected component (empty for an empty view).
+
+    Of two largest components of equal size, the one holding the lower
+    position wins: labels follow lowest positions and ``argmax`` takes the
+    first maximum, the order :func:`connected_components` lists them in.
+    """
+    labels = component_labels(view)
+    if labels.size == 0:
+        return np.zeros(0, dtype=bool)
+    return labels == np.bincount(labels).argmax()
+
+
 def giant_component(graph: Graph) -> Graph:
-    """Subgraph induced on the largest connected component."""
-    components = connected_components(graph)
-    if not components:
-        return Graph(name=graph.name)
-    return graph.subgraph(components[0])
+    """Subgraph induced on the largest connected component (see
+    :func:`giant_mask` for ties)."""
+    view = graph.csr()
+    nodes = view.nodes
+    return graph.subgraph(nodes[i] for i in np.flatnonzero(giant_mask(view)).tolist())

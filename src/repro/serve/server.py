@@ -35,7 +35,8 @@ Endpoints
 
 Error mapping: malformed requests → 400 (a ``Content-Length`` that is
 not a non-negative integer included), unknown paths/worlds → 404, store
-conflicts → 409, a full job queue → 503 with ``Retry-After``.
+conflicts → 409, a request carrying ``Transfer-Encoding`` → 411, a full
+job queue → 503 with ``Retry-After``.
 
 Wire
 ----
@@ -47,7 +48,10 @@ nearly every request on a reused connection would stall that long.
 its interim ``100 Continue`` at once, not after it has sent the body. A
 body the service rejects unread (a bad or oversized ``Content-Length``)
 closes its connection, so those bytes are never parsed as the next
-request.
+request.  Bodies are framed by ``Content-Length`` only: a request that
+carries ``Transfer-Encoding`` (chunked, or alongside a length) gets 411
+Length Required before any body byte is read or a ``100 Continue`` is
+sent, and its connection closes.
 """
 
 from __future__ import annotations
@@ -129,6 +133,28 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+
+    def parse_request(self) -> bool:
+        """Parse the request line and headers; refuse (411) a request
+        framed by ``Transfer-Encoding``."""
+        return super().parse_request() and self._length_framed()
+
+    def handle_expect_100(self) -> bool:
+        """Invite the body only when the request is ``Content-Length``
+        framed; otherwise the 411 is the only response."""
+        return self._length_framed() and super().handle_expect_100()
+
+    def _length_framed(self) -> bool:
+        """False once a 411 is sent for a ``Transfer-Encoding`` request.
+
+        Its body cannot be read by length, so its connection closes before
+        any of its bytes could be parsed as the next request.
+        """
+        if "Transfer-Encoding" not in self.headers:
+            return True
+        error = "Transfer-Encoding is not supported; send a Content-Length"
+        self._send_json(411, {"error": error}, close=True)
+        return False
 
     def _body(self) -> Optional[Dict[str, Any]]:
         """The request's JSON object body, or ``None`` once a 400 is sent.

@@ -25,7 +25,6 @@ See ``docs/storage.md`` for the full tour.
 """
 
 from .checkpoint import GrowthReport, grow_to_store
-from .measure import view_size_group
 from .snapshot import (
     load_csr_snapshot,
     save_csr_snapshot,
@@ -45,5 +44,4 @@ __all__ = [
     "save_csr_snapshot",
     "load_csr_snapshot",
     "snapshot_info",
-    "view_size_group",
 ]

@@ -29,7 +29,6 @@ from typing import Any, Dict, Optional, Union
 from ..graph.csr import CSRView
 from ..graph.graph import Graph
 from ..obs.tracer import get_tracer
-from .measure import view_size_group
 from .snapshot import load_csr_snapshot, save_csr_snapshot, snapshot_info
 from .sqlite import SQLiteGraphStore, StoreError
 
@@ -152,11 +151,16 @@ class GraphStore:
     def measure(self) -> Dict[str, float]:
         """The battery's ``size`` metric group from the mmap view alone.
 
-        Never materializes a :class:`Graph`: this is the read path whose
-        peak RSS the full-scale benchmarks hold to a budget.
+        Runs :func:`~repro.core.metrics.compute_metric_groups` on the view:
+        the battery's giant mask, then degree arithmetic under it.  Never
+        materializes a :class:`Graph` or slices the view: this is the read
+        path whose peak RSS the full-scale benchmarks hold to a budget.
         """
+        # Lazy: repro.core imports the store (snapshots) at module level.
+        from ..core.metrics import compute_metric_groups
+
         with get_tracer().span("store.measure", path=str(self.path)):
-            return view_size_group(self.csr())
+            return compute_metric_groups(self.csr(), ["size"])["size"]
 
     def fingerprint(self) -> Optional[int]:
         """The stored graph's fingerprint (None while incomplete)."""

@@ -72,3 +72,38 @@ class TestSummarize:
     def test_max_degree_fraction(self, star):
         s = summarize(star)
         assert s.max_degree_fraction == pytest.approx(5 / 6)
+
+
+class TestMeasureUnit:
+    """A measure unit reads the attached view under the giant mask: it
+    materializes no Graph and builds no second view."""
+
+    def test_measure_unit_builds_no_graph(self, tmp_path, monkeypatch):
+        from repro.core import battery, transport
+        from repro.core.metrics import METRIC_GROUPS, compute_metric_groups
+        from repro.core.registry import make_generator
+        from repro.graph.csr import CSRView
+
+        generator = make_generator("glp")
+        graph = generator.generate(300, seed=3)
+        groups = tuple(METRIC_GROUPS)
+        params = dict(battery.SUMMARIZE_DEFAULTS)
+        expected = compute_metric_groups(graph, groups, seed=3, **params)
+        plan = battery.plan_cells(generator, 300, 3, groups, params)
+        plan.handle = transport.publish_graph(graph, tmp_path / "glp", name="glp")
+        task = battery.unit_task(plan, groups=groups, sum_params=params)
+        assert task["unit"]["kind"] == "measure"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a measure unit built a Graph or a second view")
+
+        transport.clear_attach_cache()
+        monkeypatch.setattr(transport, "materialize_view", refuse)
+        monkeypatch.setattr(CSRView, "from_graph", classmethod(refuse))
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        try:
+            values, _, gen_seconds, _, _ = battery._battery_task(task)
+        finally:
+            transport.clear_attach_cache()
+        assert gen_seconds == 0.0
+        assert values == expected

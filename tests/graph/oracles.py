@@ -4,13 +4,15 @@ Every metric kernel in :mod:`repro.graph` runs on the CSR view.  The loops
 below are the dict-walking versions those kernels replaced, each with the
 production kernel's name and arguments, so a suite compares the two call
 for call.  :func:`reference` evaluates any public function with every
-kernel it reaches swapped for its oracle — ``reference(local_clustering,
-g)`` clusters from the oracle's triangle counts, and
+kernel it reaches swapped for its oracle — ``reference(average_clustering,
+g)`` averages the oracle's local clustering, and
 ``reference(compute_metric_groups, g, groups)`` runs the whole battery on
-the oracles.
+the oracles: the giant as a subgraph of the oracle components, every
+group from the oracle kernels on that subgraph.
 """
 
 import contextlib
+import math
 import sys
 from collections import deque
 from typing import Dict, Hashable, List, Optional, Set
@@ -21,6 +23,7 @@ import pytest
 # here, so no module first binds a kernel name while the oracles are in
 # place (it would keep the oracle after the swap is undone).
 import repro.resilience  # noqa: F401
+from repro.core import metrics as _metrics
 from repro.graph import betweenness as _betweenness
 from repro.graph import clustering as _clustering
 from repro.graph import cores as _cores
@@ -31,6 +34,7 @@ from repro.graph import traversal as _traversal
 from repro.graph.graph import Graph
 from repro.graph.shortest_paths import PathLengthStats
 from repro.graph.traversal import bfs_distances
+from repro.stats.powerlaw import fit_powerlaw_auto_xmin
 from repro.stats.rng import SeedLike, make_rng
 
 Node = Hashable
@@ -66,6 +70,15 @@ def is_connected(graph: Graph) -> bool:
         return True
     first = next(iter(graph.nodes()))
     return len(bfs_distances(graph, first)) == graph.num_nodes
+
+
+def giant_component(graph: Graph) -> Graph:
+    """Subgraph induced on the largest connected component (the first
+    listed of equal-size largest ones)."""
+    components = connected_components(graph)
+    if not components:
+        return Graph(name=graph.name)
+    return graph.subgraph(components[0])
 
 
 # ------------------------------------------------------------ clustering
@@ -107,6 +120,17 @@ def _ordered_before(a: Node, b: Node) -> bool:
 def total_triangles(graph: Graph) -> int:
     """Total number of distinct triangles in the graph."""
     return sum(triangles_per_node(graph).values()) // 3
+
+
+def local_clustering(graph: Graph) -> Dict[Node, float]:
+    """Watts–Strogatz local clustering coefficient per node (0 below
+    degree 2)."""
+    triangles = triangles_per_node(graph)
+    out: Dict[Node, float] = {}
+    for node in graph.nodes():
+        k = graph.degree(node)
+        out[node] = 0.0 if k < 2 else 2.0 * triangles[node] / (k * (k - 1))
+    return out
 
 
 # ----------------------------------------------------------------- cores
@@ -305,14 +329,94 @@ def diameter(graph: Graph) -> int:
     return best
 
 
+# --------------------------------------------------------------- battery
+
+
+def _size_group(gc: Graph, original_n: int, **_) -> Dict[str, float]:
+    n = gc.num_nodes
+    return {
+        "num_nodes": n,
+        "num_edges": gc.num_edges,
+        "average_degree": gc.average_degree,
+        "max_degree": gc.max_degree,
+        "max_degree_fraction": gc.max_degree / n,
+        "giant_fraction": n / original_n,
+    }
+
+
+def _tail_group(gc: Graph, min_tail: int, **_) -> Dict[str, float]:
+    try:
+        fit = fit_powerlaw_auto_xmin(list(gc.degrees().values()), min_tail=min_tail)
+    except ValueError:
+        return {"degree_exponent": math.nan, "degree_exponent_sigma": math.nan}
+    return {"degree_exponent": fit.gamma, "degree_exponent_sigma": fit.sigma}
+
+
+def _clustering_group(gc: Graph, **_) -> Dict[str, float]:
+    local = list(local_clustering(gc).values())
+    triangles = total_triangles(gc)
+    triples = sum(k * (k - 1) // 2 for k in gc.degrees().values())
+    return {
+        "average_clustering": sum(local) / len(local),
+        "transitivity": 3.0 * triangles / triples if triples else 0.0,
+        "triangles": triangles,
+    }
+
+
+def _paths_group(
+    gc: Graph, path_sample_threshold: int, path_samples: int, seed: SeedLike, **_
+) -> Dict[str, float]:
+    max_sources = None if gc.num_nodes <= path_sample_threshold else path_samples
+    paths = path_length_distribution(gc, max_sources=max_sources, seed=seed)
+    return {"average_path_length": paths.mean}
+
+
+_GROUPS = {
+    "size": _size_group,
+    "tail": _tail_group,
+    "clustering": _clustering_group,
+    "mixing": lambda gc, **_: {"assortativity": degree_assortativity(gc)},
+    "core": lambda gc, **_: {"degeneracy": max(core_numbers(gc).values())},
+    "paths": _paths_group,
+}
+
+
+def compute_metric_groups(
+    graph: Graph,
+    groups,
+    path_sample_threshold: int = 1500,
+    path_samples: int = 400,
+    min_tail: int = 50,
+    seed: SeedLike = 0,
+) -> Dict[str, Dict[str, float]]:
+    """The scalar battery on dict-walking kernels: the giant is a subgraph
+    of the oracle components, and each group walks that subgraph."""
+    gc = giant_component(graph)
+    if gc.num_nodes == 0:
+        raise ValueError("cannot summarize an empty graph")
+    return {
+        group: _GROUPS[group](
+            gc,
+            original_n=graph.num_nodes,
+            path_sample_threshold=path_sample_threshold,
+            path_samples=path_samples,
+            min_tail=min_tail,
+            seed=seed,
+        )
+        for group in groups
+    }
+
+
 # ------------------------------------------------------------ composition
 
 #: production kernel → its oracle.
 ORACLES = {
     _traversal.connected_components: connected_components,
     _traversal.is_connected: is_connected,
+    _traversal.giant_component: giant_component,
     _clustering.triangles_per_node: triangles_per_node,
     _clustering.total_triangles: total_triangles,
+    _clustering.local_clustering: local_clustering,
     _cores.core_numbers: core_numbers,
     _correlations.average_neighbor_degree: average_neighbor_degree,
     _correlations.degree_assortativity: degree_assortativity,
@@ -321,6 +425,7 @@ ORACLES = {
     _shortest_paths.path_length_distribution: path_length_distribution,
     _shortest_paths.eccentricities: eccentricities,
     _shortest_paths.diameter: diameter,
+    _metrics.compute_metric_groups: compute_metric_groups,
 }
 
 

@@ -4,15 +4,20 @@ Every scalar in :data:`repro.core.metrics.METRIC_GROUPS` must come out
 bit-for-bit identical from the CSR kernels and from the dict-walking
 oracles in :mod:`tests.graph.oracles` on arbitrary graphs, including
 ones with isolated nodes, reinforced (multi-weight) edges, and
-non-integer or mixed int/str node ids.  Betweenness (not a battery
-scalar) accumulates floats in a different order in the two, so it gets
-a 1e-9 relative tolerance instead of exact equality.
+non-integer or mixed int/str node ids.  The battery measures a
+:class:`~repro.graph.csr.CSRView` under a giant mask; it must give the
+same bits from a view (in memory or a reopened snapshot) as from the
+graph.  Betweenness (not a battery scalar) accumulates floats in a
+different order in the two, so it gets a 1e-9 relative tolerance
+instead of exact equality.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.metrics import METRIC_GROUPS, compute_metric_groups
@@ -41,6 +46,7 @@ from repro.graph.shortest_paths import (
     path_length_distribution,
 )
 from repro.graph.traversal import connected_components, is_connected
+from repro.store.snapshot import load_csr_snapshot, save_csr_snapshot
 
 from .oracles import reference
 
@@ -80,6 +86,16 @@ def graphs(draw):
     return g
 
 
+def two_equal_giants():
+    """Two largest components of three nodes each, interleaved in node
+    order: a path holding the first node, then a triangle.  The battery
+    measures the one holding the earliest node, the path."""
+    g = Graph()
+    g.add_nodes(["p0", "t0", "p1", "t1", "p2", "t2", "lone"])
+    g.add_edges([("p0", "p1"), ("p1", "p2"), ("t0", "t1"), ("t1", "t2"), ("t2", "t0")])
+    return g
+
+
 def assert_same(a, b, rel=0.0, label=""):
     """Recursive equality, exact by default, NaN-aware for floats."""
     assert type(a) is type(b) or (
@@ -103,6 +119,7 @@ def assert_same(a, b, rel=0.0, label=""):
 
 class TestBatteryScalars:
     @given(graphs())
+    @example(two_equal_giants())
     @settings(max_examples=60, deadline=None)
     def test_all_metric_groups_bit_for_bit(self, g):
         groups = tuple(METRIC_GROUPS)
@@ -121,6 +138,35 @@ class TestBatteryScalars:
             g, ("paths",), path_sample_threshold=3, path_samples=4, seed=seed,
         )
         assert_same(py, cs, label="sampled-paths")
+
+
+    def test_tail_fit_reads_the_giant_only(self):
+        # A tree that fits at min_tail=2, beside a K4 whose degrees would
+        # move the fit (the random graphs above are too small to fit).
+        g = Graph()
+        g.add_edges([(0, i) for i in range(1, 9)] + [(1, i) for i in range(9, 12)])
+        g.add_edges([(a, b) for a in range(20, 24) for b in range(a + 1, 24)])
+        values = compute_metric_groups(g, ("tail",), min_tail=2)
+        oracle = reference(compute_metric_groups, g, ("tail",), min_tail=2)
+        assert_same(oracle, values, label="tail")
+        assert not math.isnan(values["tail"]["degree_exponent"])
+
+
+class TestViewInput:
+    @given(graphs())
+    @example(two_equal_giants())
+    @settings(max_examples=40, deadline=None)
+    def test_view_matches_graph_bit_for_bit(self, g):
+        groups = tuple(METRIC_GROUPS)
+        from_graph = compute_metric_groups(g, groups)
+        assert_same(compute_metric_groups(g.csr(), groups), from_graph, label="view")
+        # A measure unit reads a reopened snapshot, whose node ids went
+        # through JSON (tuples come back as lists).
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "g"
+            save_csr_snapshot(path, g.csr())
+            reopened = compute_metric_groups(load_csr_snapshot(path), groups)
+        assert_same(reopened, from_graph, label="snapshot")
 
 
 class TestKernelEquivalence:

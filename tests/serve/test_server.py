@@ -213,6 +213,27 @@ class TestWire:
         assert b"\r\nConnection: close" in head
         assert json.loads(body)["error"]
 
+    @pytest.mark.parametrize("with_length", [False, True], ids=["chunked", "both"])
+    def test_transfer_encoding_gets_411_and_closes(self, service, with_length):
+        # Framed by Content-Length alone, the chunk-size line (or the chunks
+        # as a body) would be answered, then the request line after them.
+        body = self.SUMMARIZE.encode()
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        framing = b"Transfer-Encoding: chunked\r\n"
+        if with_length:
+            framing += b"Content-Length: %d\r\n" % len(chunked)
+        with socket.create_connection(_address(service), timeout=5) as sock:
+            sock.sendall(
+                b"POST /generate HTTP/1.1\r\nHost: test\r\n" + framing + b"\r\n"
+                + chunked + b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+            )
+            received = _recv(sock)
+        head, _, rest = received.partition(b"\r\n\r\n")
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        assert head.startswith(b"HTTP/1.1 411 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(rest)["error"]
+
     @pytest.mark.parametrize(
         "body", [b"{not json", b"[1, 2]"], ids=["invalid", "array"]
     )

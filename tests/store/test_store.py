@@ -8,7 +8,6 @@ from repro.core.metrics import compute_metric_groups
 from repro.core.registry import make_generator
 from repro.graph import Graph
 from repro.store import GraphStore, StoreError
-from repro.store.measure import view_size_group
 
 
 def sample_graph():
@@ -114,4 +113,4 @@ class TestMeasure:
             [],
         )
         with pytest.raises(ValueError):
-            view_size_group(empty)
+            compute_metric_groups(empty, ["size"])
