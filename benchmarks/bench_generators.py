@@ -1,10 +1,12 @@
-"""Generation-engine shoot-out: python vs vector growth kernels.
+"""Growth-kernel shoot-out: python oracle loops vs production kernels.
 
-One run per (model, size, engine) cell over every generator family that
-still has two engines — the engine-sensitive ones, whose vector kernels
-build different (distributionally equivalent) graphs — reported as
-wall-clock and nodes/sec.  The draw-order-preserving families have a
-single kernel, so there is nothing to race.  The table is written to
+One run per (model, size, kernel) cell over the six families whose
+production kernel samples its attachment kernel from other draws than the
+scalar python loop it replaced (kept as a test oracle in
+``tests/generators/oracles.py``; the two build distributionally
+equivalent, different graphs) — reported as wall-clock and nodes/sec.
+The draw-order-preserving families build their oracle's exact graph and
+are raced in the equivalence suite instead.  The table is written to
 ``output/generators.txt``; the acceptance floor — median speedup >= 2x
 across these families at the full paper scale (n = 11000) — lives in
 ``perf_floors.json`` (``generators-median-speedup``) and is enforced
@@ -25,22 +27,28 @@ from repro.generators import (
     PfpGenerator,
     SerranoGenerator,
 )
+from tests.generators import oracles
 
 SIZES = (1000, 5000, 11000)
 FULL_SCALE = 11000
 
+#: (family, python oracle, production kernel)
 FAMILIES = (
-    ("albert-barabasi", lambda e: AlbertBarabasiGenerator(engine=e)),
-    ("barabasi-albert", lambda e: BarabasiAlbertGenerator(m=2, engine=e)),
-    ("bianconi-barabasi", lambda e: BianconiBarabasiGenerator(m=2, engine=e)),
-    ("glp", lambda e: GlpGenerator(engine=e)),
-    ("pfp", lambda e: PfpGenerator(engine=e)),
-    ("serrano", lambda e: SerranoGenerator(engine=e)),
+    ("albert-barabasi", oracles.ScalarAlbertBarabasiGenerator, AlbertBarabasiGenerator),
+    ("barabasi-albert", oracles.ScalarBarabasiAlbertGenerator, BarabasiAlbertGenerator),
+    (
+        "bianconi-barabasi",
+        oracles.FenwickBianconiBarabasiGenerator,
+        BianconiBarabasiGenerator,
+    ),
+    ("glp", oracles.FenwickGlpGenerator, GlpGenerator),
+    ("pfp", oracles.FenwickPfpGenerator, PfpGenerator),
+    ("serrano", oracles.FenwickSerranoGenerator, SerranoGenerator),
 )
 
 
-def _timed_generate(make, engine, n, seed):
-    generator = make(engine)
+def _timed_generate(generator_class, n, seed):
+    generator = generator_class()
     start = time.perf_counter()
     graph = generator.generate(n, seed=seed)
     elapsed = time.perf_counter() - start
@@ -51,10 +59,10 @@ def test_generator_engine_speedups(perf, record_text):
     perf.bench_id = "generators"
     rows = []
     full_scale_speedups = {}
-    for name, make in FAMILIES:
+    for name, oracle, production in FAMILIES:
         for n in SIZES:
-            python_graph, python_s = _timed_generate(make, "python", n, seed=1)
-            vector_graph, vector_s = _timed_generate(make, "vector", n, seed=1)
+            python_graph, python_s = _timed_generate(oracle, n, seed=1)
+            vector_graph, vector_s = _timed_generate(production, n, seed=1)
             assert python_graph.num_nodes == vector_graph.num_nodes
             assert python_graph.num_nodes >= 0.9 * n
             speedup = python_s / vector_s
@@ -75,14 +83,14 @@ def test_generator_engine_speedups(perf, record_text):
         [
             "model",
             "n",
-            "python s",
-            "vector s",
-            "py nodes/s",
-            "vec nodes/s",
+            "oracle s",
+            "kernel s",
+            "oracle nodes/s",
+            "kernel nodes/s",
             "speedup",
         ],
         rows,
-        title="generation engines: python vs vector (seed=1, one run per cell)",
+        title="growth kernels: python oracle vs production (seed=1, one run per cell)",
     )
     median = statistics.median(full_scale_speedups.values())
     summary = (

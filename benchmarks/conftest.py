@@ -24,7 +24,6 @@ that produced it.
 
 from __future__ import annotations
 
-import os
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -145,7 +144,7 @@ def perf(request, output_dir, perf_floors, bench_environment):
         wall_seconds=wall,
         peak_rss_kb=peak_rss_kb(),
         backend="csr",
-        engine=os.environ.get("REPRO_ENGINE", "auto"),
+        engine="vector",
         cache=cache,
         metrics=delta,
         environment=bench_environment,

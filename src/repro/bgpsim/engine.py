@@ -6,9 +6,14 @@ Simulates BGP's propagation mechanics for one destination prefix:
 * each round, every AS whose best route changed last round advertises it to
   the neighbors its export policy allows — **customer-learned routes go to
   everyone; peer- and provider-learned routes go to customers only**
-  (Gao–Rexford export);
-* receivers run the decision process (customer > peer > provider, then
-  shortest path, then deterministic tie-break) and discard looped paths;
+  (Gao–Rexford export) — and withdraws it from neighbors that hold its
+  previous advertisement but may no longer receive one;
+* each receiver keeps every neighbor's latest advertisement (its
+  Adj-RIB-In): a new advertisement replaces that neighbor's previous one,
+  and a looped one (the path already contains the receiver) withdraws it.
+  The best route is chosen over what the Adj-RIB-In holds — customer >
+  peer > provider, then shortest path, then deterministic tie-break — so a
+  route never outlives the neighbor route it was built on;
 * the run converges when a round produces no best-route change.
 
 The engine counts rounds and messages — the *dynamics* the closed-form
@@ -18,7 +23,8 @@ link withdrawal to measure reconvergence (BGP path exploration).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..economics.relationships import Relationship, RelationshipMap
@@ -49,7 +55,8 @@ class ConvergenceStats:
 class BgpSimulation:
     """Path-vector propagation for one destination on one topology.
 
-    The simulation owns per-AS RIBs (best route per AS).  ``converge()``
+    The simulation owns per-AS RIBs (best route per AS) and the Adj-RIB-In
+    they are chosen from (latest advertisement per neighbor).  ``converge()``
     runs to a fixed point; ``withdraw_link()`` then models a failure and
     ``converge()`` again measures reconvergence.  The topology reference is
     read-only — withdrawals are tracked internally.
@@ -73,6 +80,8 @@ class BgpSimulation:
             pref_class=ORIGIN,
         )
         self.rib = {self.destination: origin}
+        # receiver → sender → the route the receiver would use through it
+        self._adj_in: Dict[Node, Dict[Node, Route]] = {}
         self._pending: List[Node] = [self.destination]
 
     # ------------------------------------------------------------- policy
@@ -80,42 +89,42 @@ class BgpSimulation:
     def _link_up(self, u: Node, v: Node) -> bool:
         return frozenset((u, v)) not in self._down_links
 
-    def _export_targets(self, owner: Node, route: Route) -> List[Node]:
-        """Neighbors the export policy lets *owner* advertise *route* to."""
-        exports: List[Node] = []
-        to_everyone = route.pref_class in (ORIGIN, CUSTOMER)
-        for neighbor in sorted(self._graph.neighbors(owner), key=str):
-            if not self._link_up(owner, neighbor):
-                continue
-            if to_everyone:
-                exports.append(neighbor)
-                continue
-            # Peer/provider routes are exported only to customers.
-            rel = self._rels.relationship(owner, neighbor)
-            if rel is Relationship.PROVIDER_TO_CUSTOMER:
-                exports.append(neighbor)
-        return exports
-
-    def _consider(self, receiver: Node, advertised: Route) -> bool:
-        """Run the decision process at *receiver*; True if the best changed."""
-        if advertised.contains_loop_for(receiver):
+    def _exports(self, owner: Node, route: Optional[Route], neighbor: Node) -> bool:
+        """Whether the export policy lets *owner* advertise *route* to
+        *neighbor*: customer routes go to everyone, peer/provider routes
+        only to customers, and an AS without a route advertises nothing."""
+        if route is None:
             return False
-        sender = advertised.path[0]
-        candidate = Route(
-            destination=advertised.destination,
-            path=(receiver,) + advertised.path,
-            learned_from=sender,
-            pref_class=route_class(self._rels, receiver, sender),
-        )
+        if route.pref_class in (ORIGIN, CUSTOMER):
+            return True
+        rel = self._rels.relationship(owner, neighbor)
+        return rel is Relationship.PROVIDER_TO_CUSTOMER
+
+    def _receive(self, receiver: Node, sender: Node, advertised: Optional[Route]) -> bool:
+        """Apply *sender*'s advertisement — None for a withdrawal — to
+        *receiver*'s Adj-RIB-In and rerun its decision process over it.
+        Returns True if the receiver's best route changed."""
+        if receiver == self.destination:
+            return False  # the origin keeps its own route
+        held = self._adj_in.setdefault(receiver, {})
+        if advertised is None or advertised.contains_loop_for(receiver):
+            if held.pop(sender, None) is None:
+                return False
+        else:
+            held[sender] = Route(
+                destination=advertised.destination,
+                path=(receiver,) + advertised.path,
+                learned_from=sender,
+                pref_class=route_class(self._rels, receiver, sender),
+            )
+        best = reduce(prefer, held.values()) if held else None
         incumbent = self.rib.get(receiver)
-        if incumbent is None:
-            self.rib[receiver] = candidate
-            return True
-        best = prefer(incumbent, candidate)
-        if best is not incumbent and best.path != incumbent.path:
-            self.rib[receiver] = best
-            return True
-        return False
+        if best is None:
+            return self.rib.pop(receiver, None) is not None
+        if incumbent is not None and best.path == incumbent.path:
+            return False
+        self.rib[receiver] = best
+        return True
 
     # ------------------------------------------------------------- running
 
@@ -131,11 +140,20 @@ class BgpSimulation:
             changed_set = set()
             for owner in self._pending:
                 route = self.rib.get(owner)
-                if route is None:
-                    continue
-                for neighbor in self._export_targets(owner, route):
+                for neighbor in sorted(self._graph.neighbors(owner), key=str):
+                    if not self._link_up(owner, neighbor):
+                        continue
+                    if self._exports(owner, route, neighbor):
+                        advertised = route
+                    elif owner in self._adj_in.get(neighbor, ()):
+                        advertised = None  # withdraw what it holds from owner
+                    else:
+                        continue
                     messages += 1
-                    if self._consider(neighbor, route) and neighbor not in changed_set:
+                    if (
+                        self._receive(neighbor, owner, advertised)
+                        and neighbor not in changed_set
+                    ):
                         changed_set.add(neighbor)
                         changed_next.append(neighbor)
             self._pending = changed_next

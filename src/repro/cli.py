@@ -112,11 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-s", "--seed", type=int, default=None)
     gen.add_argument("-o", "--output", required=True, help="edge-list path")
     gen.add_argument("--param", action="append", metavar="KEY=VALUE")
-    gen.add_argument(
-        "--engine", default="auto", choices=("auto", "python", "vector"),
-        help="growth-kernel engine (vector is the batch fast path; auto "
-        "picks by target size)",
-    )
 
     summ = sub.add_parser("summarize", help="metric battery on an edge-list file")
     summ.add_argument("path", help="edge-list file")
@@ -126,11 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_cmd.add_argument("-n", "--nodes", type=int, default=3000)
     cmp_cmd.add_argument("-s", "--seed", type=int, default=1)
     cmp_cmd.add_argument("--param", action="append", metavar="KEY=VALUE")
-    cmp_cmd.add_argument(
-        "--engine", default="auto", choices=("auto", "python", "vector"),
-        help="growth-kernel engine (vector is the batch fast path; auto "
-        "picks by target size)",
-    )
 
     battery = sub.add_parser(
         "battery",
@@ -169,11 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     ssave.add_argument("-n", "--nodes", type=int, default=None)
     ssave.add_argument("-s", "--seed", type=int, default=None)
     ssave.add_argument("--param", action="append", metavar="KEY=VALUE")
-    ssave.add_argument(
-        "--engine", default="auto", choices=("auto", "python", "vector"),
-        help="growth-kernel engine (vector is the batch fast path; auto "
-        "picks by target size)",
-    )
     ssave.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="K",
         help="flush every K nodes in its own transaction (resumable growth)",
@@ -296,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--journal", default=None, metavar="PATH",
                                 help="append a JSONL service journal")
         sub_parser.add_argument(
-            "--engine", default="auto", choices=("auto", "python", "vector")
-        )
-        sub_parser.add_argument(
             "--timeout", type=float, default=None, metavar="SECONDS",
             help="per-unit timeout on the worker pool",
         )
@@ -400,11 +382,6 @@ def _add_battery_flags(parser: argparse.ArgumentParser) -> None:
         help="cProfile every work unit into DIR and print merged hotspots",
     )
     parser.add_argument(
-        "--engine", default="auto", choices=("auto", "python", "vector"),
-        help="growth-kernel engine for the roster's generators (vector is "
-        "the batch fast path; auto picks by target size)",
-    )
-    parser.add_argument(
         "--transport", default="auto", choices=("auto", "regenerate", "shared"),
         help="graph transport for battery workers (shared publishes each "
         "topology once as a zero-copy snapshot and splits metric groups "
@@ -483,7 +460,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "generate":
         generator = _make_generator_or_exit(args.model, **_parse_params(args.param))
-        generator.engine = args.engine
         graph = generator.generate(args.nodes, seed=args.seed)
         write_edge_list(graph, args.output)
         print(f"wrote {graph.num_nodes} nodes / {graph.num_edges} edges to {args.output}")
@@ -496,7 +472,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "compare":
         generator = _make_generator_or_exit(args.model, **_parse_params(args.param))
-        generator.engine = args.engine
         graph = generator.generate(args.nodes, seed=args.seed)
         result = compare_graphs(graph, reference_as_map(args.nodes), seed=args.seed)
         print(result)
@@ -513,8 +488,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             mapping[name] = (
                 roster[name] if name in roster else _make_generator_or_exit(name)
             )
-        for generator in mapping.values():
-            generator.engine = args.engine
         obs_state = _obs_setup(args)
         result = compare_models(
             mapping,
@@ -571,8 +544,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             params.setdefault("journal", args.journal)
         if "profile_dir" in accepted and args.profile_dir is not None:
             params.setdefault("profile_dir", args.profile_dir)
-        if "engine" in accepted and args.engine != "auto":
-            params.setdefault("engine", args.engine)
         if "transport" in accepted and args.transport != "auto":
             params.setdefault("transport", args.transport)
         obs_state = _obs_setup(args)
@@ -599,7 +570,6 @@ def _serve_dispatcher(args):
         root=args.root,
         queue_limit=args.queue_limit,
         journal=args.journal,
-        engine=args.engine,
         unit_timeout=args.timeout,
     )
 
@@ -702,7 +672,6 @@ def _store_command(args) -> int:
             generator = _make_generator_or_exit(
                 args.model, **_parse_params(args.param)
             )
-            generator.engine = args.engine
             try:
                 report = generator.generate_to_store(
                     args.nodes,

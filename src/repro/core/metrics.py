@@ -54,7 +54,7 @@ __all__ = [
 #: old code then stop matching and are recomputed.  tests/core/
 #: golden_metrics.json pins each version's values on a fixed corpus, and
 #: tier-1 fails when one moves without a bump (see test_golden_metrics.py).
-METRICS_VERSION = "2"
+METRICS_VERSION = "3"
 
 #: Partition of the scalar battery into independently computable (and
 #: independently cacheable) groups.  Every :class:`TopologySummary` field

@@ -25,9 +25,8 @@ topology from *measuring* it:
   mid-publish never leaks half-written snapshots past a pool rebuild.
 
 :func:`resolve_transport` centralizes the battery's transport choice
-(``auto`` | ``regenerate`` | ``shared``), mirroring the generators'
-``engine`` contract: an explicit argument always wins,
-``auto`` consults the ``REPRO_TRANSPORT`` environment variable, and
+(``auto`` | ``regenerate`` | ``shared``): an explicit argument always
+wins, ``auto`` consults the ``REPRO_TRANSPORT`` environment variable, and
 otherwise shares at or above :data:`AUTO_SHARED_NODES` nodes when at
 least :data:`AUTO_SHARED_GROUPS` metric groups ride on each replicate
 (below that, publishing costs more than it saves).  Transport is a

@@ -13,7 +13,9 @@ Exit rule: a *transit provider* (an AS with customers) whose profit is
 negative for ``patience`` consecutive rounds leaves the market.  Stubs
 never exit (their profitability depends on retail pricing outside the
 model's scope); tier-1 ASes exit like anyone else, which is how default-
-free-zone consolidation shows up.
+free-zone consolidation shows up.  Exits follow a round's settlement, and
+the last round's settlement is final: no provider exits after it, so the
+final graph, the final report and the last round describe one market.
 """
 
 from __future__ import annotations
@@ -36,7 +38,11 @@ Node = Hashable
 
 @dataclass(frozen=True)
 class MarketRound:
-    """One settled round of the evolving market."""
+    """One settled round of the evolving market.
+
+    ``exits`` counts the providers that left after this round's
+    settlement; it is 0 for the last round, whose market is the final one.
+    """
 
     round_index: int
     num_ases: int
@@ -49,7 +55,11 @@ class MarketRound:
 
 @dataclass
 class MarketEvolution:
-    """Full trajectory of the consolidation simulation."""
+    """Full trajectory of the consolidation simulation.
+
+    ``final_graph`` and ``final_report`` are the market the last round
+    settled, the one ``rounds[-1]`` describes.
+    """
 
     rounds: List[MarketRound] = field(default_factory=list)
     final_graph: Optional[Graph] = None
@@ -146,6 +156,8 @@ def simulate_market_evolution(
                     to_exit.append(node)
             else:
                 losing_streak[node] = 0
+        if round_index == rounds - 1:
+            to_exit = []  # this settlement is final
 
         routed = sum(traffic.originated.values())
         total = routed + traffic.unroutable
@@ -174,6 +186,6 @@ def simulate_market_evolution(
             # Relationships are re-inferred on the consolidated topology.
             rels = assign_relationships(market)
 
-        evolution.final_graph = market
-        evolution.final_report = report
+    evolution.final_graph = market
+    evolution.final_report = report
     return evolution

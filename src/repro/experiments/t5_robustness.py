@@ -16,8 +16,7 @@ under both — robust where the map is fragile, which is still a mismatch —
 and rank poorly despite their "good" attack survival.
 
 The percolation sweeps run as reverse union-find over each topology's
-CSR view, and ``engine`` picks the generators' growth kernel exactly as
-in T1.
+CSR view.
 """
 
 from __future__ import annotations
@@ -117,7 +116,6 @@ def run_t5(
     retries: int = 0,
     journal: Optional[str] = None,
     profile_dir: Optional[str] = None,
-    engine: str = "auto",
     transport: str = "auto",
 ) -> ExperimentResult:
     """Rank the roster by robustness divergence from the reference map.
@@ -133,8 +131,6 @@ def run_t5(
         title="Robustness & redundancy ranking vs reference AS map",
     )
     selection = _normalize_selection(models, n)
-    for generator in selection.values():
-        generator.engine = engine
     with stage("T5", "reference", n=n):
         reference = compute_metric_groups(
             reference_as_map(n), ("robustness",), seed=0

@@ -2,7 +2,7 @@
 literature compares, behind one :class:`TopologyGenerator` interface."""
 
 from .albert_barabasi import AlbertBarabasiGenerator
-from .barabasi_albert import BarabasiAlbertGenerator, preferential_targets
+from .barabasi_albert import BarabasiAlbertGenerator
 from .base import GenerationError, TopologyGenerator
 from .bianconi_barabasi import BianconiBarabasiGenerator
 from .brite import BriteGenerator
@@ -27,7 +27,6 @@ __all__ = [
     "ErdosRenyiGnm",
     "WaxmanGenerator",
     "BarabasiAlbertGenerator",
-    "preferential_targets",
     "AlbertBarabasiGenerator",
     "GlpGenerator",
     "PlrgGenerator",

@@ -17,26 +17,17 @@ from ..graph.graph import Graph
 from ..stats.rng import BufferedUniforms, SeedLike, make_numpy_rng, make_rng
 from ..stats.sampling import distinct_in_order
 from .base import GenerationError, TopologyGenerator, _validate_size
-from .barabasi_albert import preferential_targets
 
 __all__ = ["AlbertBarabasiGenerator"]
 
 
 class AlbertBarabasiGenerator(TopologyGenerator):
-    """AB extended model with moves (add-edges p, rewire q, grow 1-p-q).
-
-    *engine* selects the growth kernel (see :mod:`repro.generators.engine`);
-    the vector path keeps the endpoint pool, the node range, and the edge
-    list in O(1)-update structures (slot maps instead of linear scans), so
-    every move — grow, internal edge, rewire — runs in constant time.
-    Different seeded stream than the scalar loop, so this generator is
-    ``engine_sensitive``.
-    """
+    """AB extended model with moves (add-edges p, rewire q, grow 1-p-q)."""
 
     name = "albert-barabasi"
     engine_sensitive = True
 
-    def __init__(self, m: int = 2, p: float = 0.35, q: float = 0.1, engine: str = "auto"):
+    def __init__(self, m: int = 2, p: float = 0.35, q: float = 0.1):
         if m < 1:
             raise ValueError("m must be >= 1")
         if p < 0 or q < 0 or p + q >= 1:
@@ -44,92 +35,17 @@ class AlbertBarabasiGenerator(TopologyGenerator):
         self.m = m
         self.p = p
         self.q = q
-        self.engine = engine
 
     def generate(self, n: int, seed: SeedLike = None) -> Graph:
-        """Grow the network until it holds exactly *n* nodes."""
+        """Grow the network until it holds exactly *n* nodes.
+
+        Every move — grow, internal edge, rewire — runs in constant time on
+        slot-mapped pools: a contiguous node range, an edge list with a
+        position map (swap-with-last removal), and an endpoint pool with
+        per-node slot lists.  Draws come from block-buffered numpy uniforms.
+        """
         seed_size = max(self.m, 3)
         _validate_size(n, minimum=seed_size + 1)
-        if self.resolve_engine(n) == "vector":
-            return self._generate_vector(n, seed, seed_size)
-        rng = make_rng(seed)
-        graph = Graph(name=self.name)
-        repeated: List[int] = []
-        for i in range(seed_size):
-            j = (i + 1) % seed_size
-            graph.add_edge(i, j)
-            repeated.extend((i, j))
-        next_node = seed_size
-        # Guard against pathological no-progress loops when moves keep
-        # failing on tiny graphs.
-        stall_budget = 50 * n
-        while next_node < n and stall_budget > 0:
-            stall_budget -= 1
-            roll = rng.random()
-            if roll < self.p:
-                self._add_internal_edges(graph, repeated, rng)
-            elif roll < self.p + self.q:
-                self._rewire_edges(graph, repeated, rng)
-            else:
-                targets = preferential_targets(repeated, self.m, rng, exclude=next_node)
-                for target in targets:
-                    graph.add_edge(next_node, target)
-                    repeated.extend((next_node, target))
-                next_node += 1
-        if next_node < n:
-            raise GenerationError("AB growth stalled before reaching target size")
-        return graph
-
-    def _add_internal_edges(self, graph: Graph, repeated: List[int], rng) -> None:
-        """Move 1: m new internal edges, uniform source → preferential target."""
-        nodes = list(graph.nodes())
-        for _ in range(self.m):
-            source = nodes[rng.randrange(len(nodes))]
-            for _ in range(20):  # bounded retries when the draw is invalid
-                target = repeated[rng.randrange(len(repeated))]
-                if target != source and not graph.has_edge(source, target):
-                    graph.add_edge(source, target)
-                    repeated.extend((source, target))
-                    break
-
-    def _rewire_edges(self, graph: Graph, repeated: List[int], rng) -> None:
-        """Move 2: m rewires — detach a random endpoint pair, reattach the
-        kept endpoint preferentially."""
-        edges = list(graph.edges())
-        if not edges:
-            return
-        for _ in range(self.m):
-            u, v = edges[rng.randrange(len(edges))]
-            if not graph.has_edge(u, v):
-                continue  # already rewired away this round
-            keep, drop = (u, v) if rng.random() < 0.5 else (v, u)
-            if graph.degree(drop) <= 1:
-                continue  # avoid disconnecting leaves
-            for _ in range(20):
-                target = repeated[rng.randrange(len(repeated))]
-                if target not in (keep, drop) and not graph.has_edge(keep, target):
-                    graph.remove_edge(keep, drop)
-                    graph.add_edge(keep, target)
-                    self._swap_endpoint(repeated, drop, target)
-                    break
-
-    @staticmethod
-    def _swap_endpoint(repeated: List[int], old: int, new: int) -> None:
-        """Replace one occurrence of *old* with *new* in the endpoint list."""
-        idx = repeated.index(old)
-        repeated[idx] = new
-
-    # ------------------------------------------------------------ vector path
-
-    def _generate_vector(self, n: int, seed: SeedLike, seed_size: int) -> Graph:
-        """O(1)-move growth on slot-mapped pools.
-
-        The scalar loop's per-move linear scans — ``list(graph.nodes())``,
-        ``list(graph.edges())``, ``repeated.index(old)`` — are replaced by a
-        contiguous node range, an edge list with a position map
-        (swap-with-last removal), and an endpoint pool with per-node slot
-        lists.  Draws come from block-buffered numpy uniforms.
-        """
         rng = make_rng(seed)
         np_rng = make_numpy_rng(rng.getrandbits(63))
         uniform = BufferedUniforms(np_rng).next
@@ -173,7 +89,7 @@ class AlbertBarabasiGenerator(TopologyGenerator):
         next_node = seed_size
         stall_budget = 50 * n
         steps = 0
-        with self.trace_phase("growth", n=n, engine="vector"):
+        with self.trace_phase("growth", n=n):
             while next_node < n and stall_budget > 0:
                 stall_budget -= 1
                 steps += 1

@@ -17,81 +17,9 @@ import numpy as np
 from ..graph.graph import Graph
 from ..stats.rng import SeedLike, make_numpy_rng, make_rng
 from ..stats.sampling import distinct_in_order
-from .base import GenerationError, TopologyGenerator, _validate_size
+from .base import TopologyGenerator, _validate_size
 
-__all__ = ["BarabasiAlbertGenerator", "preferential_targets"]
-
-
-def _batch_targets(
-    repeated_nodes: List[int], count: int, rng: np.random.Generator, exclude: int
-) -> List[int]:
-    """Vectorized rejection sampling for numpy Generators.
-
-    Draws index batches with one ``rng.integers`` call each, drops the
-    excluded node, and keeps first occurrences (``np.unique`` with
-    ``return_index`` re-sorted by draw position), so the accepted sequence
-    is exactly what scalar rejection sampling would have accepted.
-    """
-    pool = np.asarray(repeated_nodes, dtype=np.int64)
-    targets: List[int] = []
-    seen: set = set()
-    batch_size = max(4 * count, 16)
-    while len(targets) < count:
-        draws = pool[rng.integers(0, pool.size, size=batch_size)]
-        draws = draws[draws != exclude]
-        _, first = np.unique(draws, return_index=True)
-        for position in np.sort(first):
-            candidate = int(draws[position])
-            if candidate not in seen:
-                seen.add(candidate)
-                targets.append(candidate)
-                if len(targets) == count:
-                    break
-    return targets
-
-
-def preferential_targets(
-    repeated_nodes: List[int], count: int, rng, exclude: int
-) -> List[int]:
-    """Draw *count* distinct targets ∝ degree from the endpoint list.
-
-    ``repeated_nodes`` holds each node once per incident edge endpoint, so a
-    uniform draw from it is exactly a degree-proportional draw — the classic
-    O(1) trick.  *exclude* (the arriving node) is never returned.
-
-    Rejection sampling degenerates when *count* equals the number of
-    distinct candidates (the last missing node may be drawn with vanishing
-    probability), so after a generous retry budget the remaining targets
-    are filled by a shuffle of the not-yet-picked candidates.  The budget
-    is far beyond anything non-degenerate draws hit, keeping the draw
-    sequence — and therefore every seeded topology — unchanged.
-
-    A ``numpy.random.Generator`` *rng* takes a vectorized batch path;
-    ``random.Random`` keeps the scalar loop (its draw sequence is part of
-    the seed contract).
-    """
-    if not repeated_nodes:
-        raise GenerationError("no existing endpoints to attach to")
-    distinct = {x for x in repeated_nodes if x != exclude}
-    if count > len(distinct):
-        raise GenerationError(
-            f"cannot pick {count} distinct targets from {len(distinct)} candidates"
-        )
-    if isinstance(rng, np.random.Generator):
-        return _batch_targets(repeated_nodes, count, rng, exclude)
-    targets: set = set()
-    tries = 0
-    max_tries = 64 * count + 1024
-    while len(targets) < count and tries < max_tries:
-        tries += 1
-        candidate = repeated_nodes[rng.randrange(len(repeated_nodes))]
-        if candidate != exclude:
-            targets.add(candidate)
-    if len(targets) < count:
-        remaining = sorted(distinct - targets)
-        rng.shuffle(remaining)
-        targets.update(remaining[: count - len(targets)])
-    return list(targets)
+__all__ = ["BarabasiAlbertGenerator"]
 
 
 class BarabasiAlbertGenerator(TopologyGenerator):
@@ -99,57 +27,27 @@ class BarabasiAlbertGenerator(TopologyGenerator):
 
     Starts from a ring of ``max(m, 3)`` seed nodes so the first arrival has
     enough distinct targets.
-
-    *engine* selects the growth kernel (see :mod:`repro.generators.engine`);
-    the vector path batch-draws each arrival's targets from a preallocated
-    numpy endpoint pool and commits edges through one bulk insert.  The two
-    engines sample the same attachment kernel from different seeded streams
-    (distributionally equivalent, not bit-identical), so this generator is
-    ``engine_sensitive``.
     """
 
     name = "barabasi-albert"
     engine_sensitive = True
 
-    def __init__(self, m: int = 2, engine: str = "auto"):
+    def __init__(self, m: int = 2):
         if m < 1:
             raise ValueError("m must be >= 1")
         self.m = m
-        self.engine = engine
 
     def generate(self, n: int, seed: SeedLike = None) -> Graph:
-        """Grow a BA network to exactly *n* nodes."""
+        """Grow a BA network to exactly *n* nodes.
+
+        The endpoint pool holds each node once per incident edge endpoint,
+        so a uniform draw from it is a degree-proportional draw.  Each
+        arrival draws one oversized ``integers`` batch and keeps the first
+        ``m`` distinct values (the arriving node is never in the pool, so no
+        exclusion is needed); edges commit through one bulk insert.
+        """
         seed_size = max(self.m, 3)
         _validate_size(n, minimum=seed_size + 1)
-        engine = self.resolve_engine(n)
-        if engine == "vector":
-            return self._generate_vector(n, seed, seed_size)
-        rng = make_rng(seed)
-        graph = Graph(name=self.name)
-        repeated: List[int] = []
-        with self.trace_phase("seed", size=seed_size, engine=engine):
-            for i in range(seed_size):
-                j = (i + 1) % seed_size
-                graph.add_edge(i, j)
-                repeated.extend((i, j))
-        with self.trace_phase("growth", n=n, engine=engine):
-            for new in range(seed_size, n):
-                targets = preferential_targets(repeated, self.m, rng, exclude=new)
-                for target in targets:
-                    graph.add_edge(new, target)
-                    repeated.extend((new, target))
-            self.count_steps(n - seed_size)
-        return graph
-
-    def _generate_vector(self, n: int, seed: SeedLike, seed_size: int) -> Graph:
-        """Batch growth: numpy endpoint pool + bulk edge insert.
-
-        The endpoint pool is the same degree-proportional structure the
-        python engine uses, preallocated as an int64 array; each arrival
-        draws one oversized ``integers`` batch and keeps the first ``m``
-        distinct values (the arriving node is never in the pool, so no
-        exclusion is needed).
-        """
         rng = make_rng(seed)
         np_rng = make_numpy_rng(rng.getrandbits(63))
         m = self.m
@@ -157,14 +55,14 @@ class BarabasiAlbertGenerator(TopologyGenerator):
         pool = np.empty(2 * (seed_size + m * (n - seed_size)), dtype=np.int64)
         fill = 0
         edges: List[tuple] = []
-        with self.trace_phase("seed", size=seed_size, engine="vector"):
+        with self.trace_phase("seed", size=seed_size):
             for i in range(seed_size):
                 j = (i + 1) % seed_size
                 edges.append((i, j))
                 pool[fill] = i
                 pool[fill + 1] = j
                 fill += 2
-        with self.trace_phase("growth", n=n, engine="vector"):
+        with self.trace_phase("growth", n=n):
             batch = max(4 * m, 16)
             for new in range(seed_size, n):
                 targets = distinct_in_order(

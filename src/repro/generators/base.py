@@ -19,21 +19,8 @@ from ..graph.graph import Graph
 from ..obs.metrics import get_registry
 from ..obs.tracer import get_tracer
 from ..stats.rng import SeedLike
-from .engine import (
-    AUTO_VECTOR_THRESHOLD,
-    ENGINES,
-    REPRO_ENGINE_ENV,
-    resolve_engine,
-)
 
-__all__ = [
-    "TopologyGenerator",
-    "GenerationError",
-    "ENGINES",
-    "AUTO_VECTOR_THRESHOLD",
-    "REPRO_ENGINE_ENV",
-    "resolve_engine",
-]
+__all__ = ["TopologyGenerator", "GenerationError"]
 
 
 class GenerationError(RuntimeError):
@@ -53,46 +40,31 @@ class TopologyGenerator(abc.ABC):
     #: Unique registry name, e.g. ``"barabasi-albert"``.
     name: str = ""
 
-    #: True when the vector engine cannot replay the python engine's draw
-    #: order (it aggregates draws), so the two engines produce different —
-    #: distributionally equivalent — graphs for the same seed.  The
-    #: resolved engine then joins the generator's battery cache identity
-    #: (see :meth:`cache_params`).  Draw-order-preserving generators have
-    #: a single growth kernel, so the engine selects nothing and stays
-    #: out of the key.
+    #: True for the six families that once also had a python growth loop
+    #: building other graphs from the same seed (barabasi-albert,
+    #: albert-barabasi, bianconi-barabasi, glp, pfp, serrano).  Their cache
+    #: keys and store checkpoint identities carry ``"engine": "vector"``,
+    #: the kernel they run, so no key or checkpoint written by one of the
+    #: retired loops (``"engine": "python"``) can match a graph built now.
     engine_sensitive: bool = False
 
-    @property
-    def engine(self) -> str:
-        """Growth-kernel engine: ``auto`` | ``python`` | ``vector``.
-
-        Stored outside :meth:`params` (an underscore attribute behind this
-        property), so selecting an engine never perturbs provenance or the
-        cache/seed identity of draw-order-preserving generators.
-        """
-        return getattr(self, "_engine", "auto")
-
-    @engine.setter
-    def engine(self, value: str) -> None:
-        if value not in ENGINES:
-            choices = ", ".join(ENGINES)
-            raise ValueError(f"unknown engine {value!r}; choose one of: {choices}")
-        self._engine = value
-
     def resolve_engine(self, n: int) -> str:
-        """The engine a generate(*n*) call will run on (``python``/``vector``)."""
-        return resolve_engine(self.engine, n)
+        """The growth kernel a generate(*n*) call runs: always ``"vector"``.
+
+        Every family has one kernel; this stays only because perfbench
+        still labels its generation spans with it.
+        """
+        return "vector"
 
     def cache_params(self, n: int) -> Dict[str, Any]:
         """Parameters that identify a generate(*n*) output for caching.
 
-        Equal to :meth:`params` for draw-order-preserving generators; for
-        ``engine_sensitive`` ones the resolved engine is added, so battery
-        cells computed by different engines occupy different cache cells.
+        Equal to :meth:`params`, plus ``"engine": "vector"`` for
+        ``engine_sensitive`` families (see that attribute).
         """
         params = self.params()
         if self.engine_sensitive:
-            params["engine"] = self.resolve_engine(n)
+            params["engine"] = "vector"
         return params
 
     @abc.abstractmethod

@@ -16,7 +16,6 @@ from typing import Callable, List, Optional
 
 from ..graph.graph import Graph
 from ..stats.rng import BufferedUniforms, SeedLike, make_numpy_rng, make_rng
-from ..stats.sampling import FenwickSampler
 from .base import TopologyGenerator, _validate_size
 
 __all__ = ["BianconiBarabasiGenerator"]
@@ -27,25 +26,16 @@ class BianconiBarabasiGenerator(TopologyGenerator):
 
     *fitness* is a callable drawing one fitness from an rng (default:
     uniform on (0, 1]); *m* is the number of links per arriving node.
-
-    *engine* selects the growth kernel (see :mod:`repro.generators.engine`);
-    the vector path proposes targets degree-proportionally from an endpoint
-    pool and thins them to ``П ∝ η k`` by accepting with probability
-    ``η/η_max`` — the same kernel sampled from a different seeded stream,
-    so this generator is ``engine_sensitive``.
     """
 
     name = "bianconi-barabasi"
     engine_sensitive = True
 
-    def __init__(
-        self, m: int = 2, fitness: Optional[Callable] = None, engine: str = "auto"
-    ):
+    def __init__(self, m: int = 2, fitness: Optional[Callable] = None):
         if m < 1:
             raise ValueError("m must be >= 1")
         self.m = m
         self.fitness = fitness
-        self.engine = engine
 
     def _draw_fitness(self, rng) -> float:
         if self.fitness is not None:
@@ -57,50 +47,17 @@ class BianconiBarabasiGenerator(TopologyGenerator):
         return value
 
     def generate(self, n: int, seed: SeedLike = None) -> Graph:
-        """Grow a fitness network to exactly *n* nodes."""
-        seed_size = max(self.m, 3)
-        _validate_size(n, minimum=seed_size + 1)
-        engine = self.resolve_engine(n)
-        if engine == "vector":
-            return self._generate_vector(n, seed, seed_size)
-        rng = make_rng(seed)
-        graph = Graph(name=self.name)
-        sampler = FenwickSampler(seed=rng)
-        fitnesses = []
-        for i in range(seed_size):
-            graph.add_node(i)
-            fitnesses.append(self._draw_fitness(rng))
-            sampler.append(0.0)
-        for i in range(seed_size):
-            j = (i + 1) % seed_size
-            graph.add_edge(i, j)
-        for i in range(seed_size):
-            sampler.update(i, fitnesses[i] * graph.degree(i))
+        """Grow a fitness network to exactly *n* nodes.
 
-        with self.trace_phase("growth", n=n, engine=engine):
-            for new in range(seed_size, n):
-                count = min(self.m, len(sampler))
-                targets = sampler.sample_distinct(count)
-                graph.add_node(new)
-                fitnesses.append(self._draw_fitness(rng))
-                sampler.append(0.0)
-                for target in targets:
-                    graph.add_edge(new, target)
-                    sampler.update(target, fitnesses[target] * graph.degree(target))
-                sampler.update(new, fitnesses[new] * graph.degree(new))
-            self.count_steps(n - seed_size)
-        return graph
-
-    def _generate_vector(self, n: int, seed: SeedLike, seed_size: int) -> Graph:
-        """Pool growth: degree-proportional proposals thinned by fitness.
-
-        Proposals come from the endpoint pool (∝ k); accepting proposal *i*
+        Proposals come from an endpoint pool (∝ k); accepting proposal *i*
         with probability ``η_i / η_max`` leaves acceptances distributed
         ∝ η k, the BB kernel.  Draws are served from block-buffered numpy
         uniforms — per-proposal work is two list lookups — and edges commit
         through one bulk insert.  Fitness draws stay on the scalar rng so
-        custom ``fitness`` callables keep working unchanged.
+        custom ``fitness`` callables receive a ``random.Random``.
         """
+        seed_size = max(self.m, 3)
+        _validate_size(n, minimum=seed_size + 1)
         rng = make_rng(seed)
         np_rng = make_numpy_rng(rng.getrandbits(63))
         uniform = BufferedUniforms(np_rng).next
@@ -115,7 +72,7 @@ class BianconiBarabasiGenerator(TopologyGenerator):
             j = (i + 1) % seed_size
             edges.append((i, j))
             pool.extend((i, j))
-        with self.trace_phase("growth", n=n, engine="vector"):
+        with self.trace_phase("growth", n=n):
             for new in range(seed_size, n):
                 targets: List[int] = []
                 proposals = 0

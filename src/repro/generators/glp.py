@@ -19,33 +19,18 @@ from typing import List
 
 from ..graph.graph import Graph
 from ..stats.rng import BufferedUniforms, SeedLike, make_numpy_rng, make_rng
-from ..stats.sampling import FenwickSampler
 from .base import GenerationError, TopologyGenerator, _validate_size
 
 __all__ = ["GlpGenerator"]
 
 
 class GlpGenerator(TopologyGenerator):
-    """GLP growth with shifted-linear preference and internal edge moves.
-
-    *engine* selects the growth kernel (see :mod:`repro.generators.engine`);
-    the vector path decomposes the shifted preference ``k − β`` into the
-    mixture ``(k−1)·1 + (1−β)·1`` — an O(1) draw from an endpoint pool (one
-    slot per degree above 1) or a uniform node — fed by block-buffered
-    numpy uniforms.  Different seeded stream than the Fenwick walk, so this
-    generator is ``engine_sensitive``.
-    """
+    """GLP growth with shifted-linear preference and internal edge moves."""
 
     name = "glp"
     engine_sensitive = True
 
-    def __init__(
-        self,
-        m: float = 1.13,
-        p: float = 0.4695,
-        beta: float = 0.6447,
-        engine: str = "auto",
-    ):
+    def __init__(self, m: float = 1.13, p: float = 0.4695, beta: float = 0.6447):
         if m < 1:
             raise ValueError("m must be >= 1")
         if not 0 <= p < 1:
@@ -55,100 +40,18 @@ class GlpGenerator(TopologyGenerator):
         self.m = m
         self.p = p
         self.beta = beta
-        self.engine = engine
-
-    def _links_this_step(self, rng) -> int:
-        """Realize the possibly fractional m as an integer for one step."""
-        whole = int(self.m)
-        frac = self.m - whole
-        return whole + (1 if rng.random() < frac else 0)
 
     def generate(self, n: int, seed: SeedLike = None) -> Graph:
-        """Grow a GLP network to exactly *n* nodes."""
-        seed_size = 3
-        _validate_size(n, minimum=seed_size + 1)
-        engine = self.resolve_engine(n)
-        if engine == "vector":
-            return self._generate_vector(n, seed, seed_size)
-        rng = make_rng(seed)
-        graph = Graph(name=self.name)
-        sampler = FenwickSampler(seed=rng)
-        with self.trace_phase("seed", size=seed_size, engine=engine):
-            # Seed: a triangle, so internal-edge moves have somewhere to land.
-            for i in range(seed_size):
-                graph.add_node(i)
-                sampler.append(0.0)
-            for i, j in ((0, 1), (1, 2), (2, 0)):
-                graph.add_edge(i, j)
-            for i in range(seed_size):
-                sampler.update(i, graph.degree(i) - self.beta)
+        """Grow a GLP network to exactly *n* nodes.
 
-        with self.trace_phase("growth", n=n, engine=engine):
-            next_node = seed_size
-            steps = 0
-            stall_budget = 100 * n
-            while next_node < n:
-                if stall_budget <= 0:
-                    raise GenerationError(
-                        "GLP growth stalled before reaching target size"
-                    )
-                stall_budget -= 1
-                steps += 1
-                m_step = self._links_this_step(rng)
-                if rng.random() < self.p:
-                    self._add_internal_links(graph, sampler, m_step, rng)
-                else:
-                    self._add_node(graph, sampler, next_node, m_step, rng)
-                    next_node += 1
-            self.count_steps(steps)
-        return graph
-
-    def _bump(self, sampler: FenwickSampler, node: int) -> None:
-        """A node gained one degree: its preference weight rises by one."""
-        sampler.add(node, 1.0)
-
-    def _add_internal_links(
-        self, graph: Graph, sampler: FenwickSampler, count: int, rng
-    ) -> None:
-        """Add *count* edges between preferentially chosen existing pairs."""
-        for _ in range(count):
-            for _ in range(30):  # bounded retries on duplicates
-                i = sampler.sample()
-                j = sampler.sample()
-                if i != j and not graph.has_edge(i, j):
-                    graph.add_edge(i, j)
-                    self._bump(sampler, i)
-                    self._bump(sampler, j)
-                    break
-
-    def _add_node(
-        self, graph: Graph, sampler: FenwickSampler, node: int, count: int, rng
-    ) -> None:
-        """Add *node* with min(count, existing) preferential links."""
-        count = min(count, len(sampler))
-        targets: set = set()
-        tries = 0
-        while len(targets) < count and tries < 200:
-            targets.add(sampler.sample())
-            tries += 1
-        graph.add_node(node)
-        sampler.append(0.0)
-        for target in targets:
-            graph.add_edge(node, target)
-            self._bump(sampler, target)
-        sampler.update(node, graph.degree(node) - self.beta)
-
-    # ------------------------------------------------------------ vector path
-
-    def _generate_vector(self, n: int, seed: SeedLike, seed_size: int) -> Graph:
-        """Pool-mixture growth: O(1) shifted-preference draws.
-
-        ``Π(i) ∝ k_i − β`` splits into ``(k_i − 1)`` endpoint-pool slots plus
-        a ``(1 − β)`` uniform-node share; one buffered uniform decides the
-        branch and (re-used, still uniform) indexes it, replacing the
-        O(log n) Fenwick descent.  The pool gains one slot per degree a
+        The shifted preference ``Π(i) ∝ k_i − β`` splits into ``(k_i − 1)``
+        endpoint-pool slots plus a ``(1 − β)`` uniform-node share; one
+        buffered uniform decides the branch and (re-used, still uniform)
+        indexes it, an O(1) draw.  The pool gains one slot per degree a
         node acquires beyond its first.
         """
+        seed_size = 3
+        _validate_size(n, minimum=seed_size + 1)
         rng = make_rng(seed)
         np_rng = make_numpy_rng(rng.getrandbits(63))
         uniform_share = 1.0 - self.beta
@@ -168,13 +71,13 @@ class GlpGenerator(TopologyGenerator):
                 return pool[int(u)]
             return min(int((u - pool_len) / uniform_share), num_nodes - 1)
 
-        with self.trace_phase("seed", size=seed_size, engine="vector"):
+        with self.trace_phase("seed", size=seed_size):
             graph.add_nodes(range(seed_size))
             for i, j in ((0, 1), (1, 2), (2, 0)):
                 graph.add_edge(i, j)
             pool.extend(range(seed_size))  # triangle: degree 2 → one slot each
 
-        with self.trace_phase("growth", n=n, engine="vector"):
+        with self.trace_phase("growth", n=n):
             next_node = seed_size
             steps = 0
             stall_budget = 100 * n

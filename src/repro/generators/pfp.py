@@ -26,33 +26,18 @@ from typing import List
 
 from ..graph.graph import Graph
 from ..stats.rng import BufferedUniforms, SeedLike, make_numpy_rng, make_rng
-from ..stats.sampling import FenwickSampler
 from .base import TopologyGenerator, _validate_size
 
 __all__ = ["PfpGenerator"]
 
 
 class PfpGenerator(TopologyGenerator):
-    """PFP growth with interactive host-link development.
-
-    *engine* selects the growth kernel (see :mod:`repro.generators.engine`);
-    the vector path proposes nodes degree-proportionally from a numpy
-    endpoint pool and thins with probability ``k^(δ·log10 k) / M`` (*M*
-    evaluated at the current maximum degree), which accepts exactly the
-    nonlinear PFP kernel — sampled from a different seeded stream than the
-    Fenwick walk, so this generator is ``engine_sensitive``.
-    """
+    """PFP growth with interactive host-link development."""
 
     name = "pfp"
     engine_sensitive = True
 
-    def __init__(
-        self,
-        p: float = 0.3,
-        q: float = 0.1,
-        delta: float = 0.048,
-        engine: str = "auto",
-    ):
+    def __init__(self, p: float = 0.3, q: float = 0.1, delta: float = 0.048):
         if p < 0 or q < 0 or p + q > 1:
             raise ValueError("need p, q >= 0 with p + q <= 1")
         if delta < 0:
@@ -60,7 +45,6 @@ class PfpGenerator(TopologyGenerator):
         self.p = p
         self.q = q
         self.delta = delta
-        self.engine = engine
 
     def _preference(self, degree: int) -> float:
         """The PFP kernel k^(1 + delta·log10 k); 0 for isolated nodes."""
@@ -69,82 +53,17 @@ class PfpGenerator(TopologyGenerator):
         return degree ** (1.0 + self.delta * math.log10(degree))
 
     def generate(self, n: int, seed: SeedLike = None) -> Graph:
-        """Grow a PFP network to exactly *n* nodes."""
+        """Grow a PFP network to exactly *n* nodes.
+
+        Host and peer candidates are proposed ∝ k from an endpoint pool and
+        accepted with probability ``k^(δ·log10 k) / M`` (*M* evaluated at
+        the current maximum degree), so acceptances follow the full kernel
+        :meth:`_preference`.  Draws are served from block-buffered numpy
+        uniforms; edges land on the live graph (duplicate/self checks need
+        it) and the pool and degree list are updated in place.
+        """
         seed_size = 3
         _validate_size(n, minimum=seed_size + 1)
-        engine = self.resolve_engine(n)
-        if engine == "vector":
-            return self._generate_vector(n, seed, seed_size)
-        rng = make_rng(seed)
-        graph = Graph(name=self.name)
-        sampler = FenwickSampler(seed=rng)
-        with self.trace_phase("seed", size=seed_size, engine=engine):
-            for i in range(seed_size):
-                graph.add_node(i)
-                sampler.append(0.0)
-            for i, j in ((0, 1), (1, 2), (2, 0)):
-                graph.add_edge(i, j)
-            for i in range(seed_size):
-                sampler.update(i, self._preference(graph.degree(i)))
-
-        with self.trace_phase("growth", n=n, engine=engine):
-            for new in range(seed_size, n):
-                roll = rng.random()
-                if roll < self.p:
-                    hosts = self._attach_new(graph, sampler, new, num_hosts=1)
-                    self._develop_links(graph, sampler, hosts[0], count=2, rng=rng)
-                elif roll < self.p + self.q:
-                    hosts = self._attach_new(graph, sampler, new, num_hosts=1)
-                    self._develop_links(graph, sampler, hosts[0], count=1, rng=rng)
-                else:
-                    hosts = self._attach_new(graph, sampler, new, num_hosts=2)
-                    chosen = hosts[rng.randrange(len(hosts))]
-                    self._develop_links(graph, sampler, chosen, count=1, rng=rng)
-            self.count_steps(n - seed_size)
-        return graph
-
-    def _refresh(self, graph: Graph, sampler: FenwickSampler, node: int) -> None:
-        """Recompute a node's nonlinear preference after a degree change."""
-        sampler.update(node, self._preference(graph.degree(node)))
-
-    def _attach_new(
-        self, graph: Graph, sampler: FenwickSampler, new: int, num_hosts: int
-    ) -> List[int]:
-        """Create node *new* linked to *num_hosts* distinct hosts."""
-        hosts = sampler.sample_distinct(min(num_hosts, len(sampler)))
-        graph.add_node(new)
-        sampler.append(0.0)
-        for host in hosts:
-            graph.add_edge(new, host)
-            self._refresh(graph, sampler, host)
-        self._refresh(graph, sampler, new)
-        return hosts
-
-    def _develop_links(
-        self, graph: Graph, sampler: FenwickSampler, host: int, count: int, rng
-    ) -> None:
-        """The host adds *count* internal links to preferential peers."""
-        for _ in range(count):
-            for _ in range(30):  # bounded retries on duplicates
-                peer = sampler.sample()
-                if peer != host and not graph.has_edge(host, peer):
-                    graph.add_edge(host, peer)
-                    self._refresh(graph, sampler, host)
-                    self._refresh(graph, sampler, peer)
-                    break
-
-    # ------------------------------------------------------------ vector path
-
-    def _generate_vector(self, n: int, seed: SeedLike, seed_size: int) -> Graph:
-        """Pool growth thinned to the nonlinear kernel by rejection.
-
-        Host/peer candidates are proposed ∝ k from an endpoint pool and
-        accepted with probability ``k^(δ·log10 k) / M`` (*M* evaluated at
-        the current maximum degree) — acceptances follow the full PFP
-        kernel.  Draws are served from block-buffered numpy uniforms; edges
-        land on the live graph (duplicate/self checks need it) and the pool
-        and degree list are updated in place.
-        """
         rng = make_rng(seed)
         np_rng = make_numpy_rng(rng.getrandbits(63))
         uniform = BufferedUniforms(np_rng).next
@@ -169,7 +88,7 @@ class PfpGenerator(TopologyGenerator):
             kmax = state["kmax"]
             ceiling = kmax ** (delta * math.log10(kmax)) if kmax > 1 else 1.0
             tries = 0
-            limit = 1200 * count  # bounded like the scalar retry loops
+            limit = 1200 * count  # bounded retries
             while len(chosen) < count and tries < limit:
                 tries += 1
                 cand = pool[int(uniform() * len(pool))]
@@ -182,14 +101,14 @@ class PfpGenerator(TopologyGenerator):
                 if adjacency is not None and cand in adjacency:
                     continue
                 chosen.append(cand)
-            return chosen  # may fall short, matching scalar give-up semantics
+            return chosen  # may fall short: the step then gives up
 
-        with self.trace_phase("seed", size=seed_size, engine="vector"):
+        with self.trace_phase("seed", size=seed_size):
             graph.add_nodes(range(seed_size))
             for i, j in ((0, 1), (1, 2), (2, 0)):
                 push_edge(i, j)
 
-        with self.trace_phase("growth", n=n, engine="vector"):
+        with self.trace_phase("growth", n=n):
             for new in range(seed_size, n):
                 roll = uniform()
                 if roll < self.p:
@@ -203,7 +122,7 @@ class PfpGenerator(TopologyGenerator):
                 for host in hosts:
                     push_edge(new, host)
                 if not hosts:
-                    continue  # degenerate; scalar path cannot hit this either
+                    continue  # degenerate: every proposal was rejected
                 if num_hosts == 1:
                     chosen_host = hosts[0]
                 else:

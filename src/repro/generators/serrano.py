@@ -49,7 +49,6 @@ from ..geometry.fractal import FractalBoxSet
 from ..geometry.plane import Plane, Point
 from ..graph.graph import Graph
 from ..stats.rng import SeedLike, make_numpy_rng, make_rng
-from ..stats.sampling import FenwickSampler
 from .base import GenerationError, TopologyGenerator, _validate_size
 
 __all__ = ["SerranoGenerator", "SerranoRun"]
@@ -83,16 +82,11 @@ class SerranoRun:
 class SerranoGenerator(TopologyGenerator):
     """Weighted supply/demand growth with optional distance constraints.
 
-    *engine* selects the adaptation kernel (see
-    :mod:`repro.generators.engine`): the vector path draws whole rounds of
-    activity-weighted pairs by ``searchsorted`` over the cumulative
-    activity, applies the ``exp(-d/d_c)`` distance acceptance blockwise,
-    realizes bandwidth reinforcement as geometric unit batches, and commits
-    each round through one bulk insert.  Pairs within a round are drawn
-    from the round's activity snapshot rather than re-weighted after every
-    link, so the engines are distributionally equivalent, not draw-order
-    identical — this generator is ``engine_sensitive`` and gated by the
-    KS/band equivalence suite.
+    Each adaptation round draws whole blocks of activity-weighted pairs by
+    ``searchsorted`` over the cumulative activity, applies the
+    ``exp(-d/d_c)`` distance acceptance blockwise, realizes bandwidth
+    reinforcement as geometric unit batches, and commits the round through
+    one bulk insert (see :meth:`_adapt`).
     """
 
     name = "serrano"
@@ -112,7 +106,6 @@ class SerranoGenerator(TopologyGenerator):
         fractal_dimension: float = 1.5,
         kappa: Optional[float] = None,
         nn_cutoff_factor: float = 4.0,
-        engine: str = "auto",
     ):
         if omega0 < 2:
             raise ValueError("omega0 must be >= 2")
@@ -142,7 +135,6 @@ class SerranoGenerator(TopologyGenerator):
         self.fractal_dimension = fractal_dimension
         self.kappa = kappa
         self.nn_cutoff_factor = nn_cutoff_factor
-        self.engine = engine
 
     # ----------------------------------------------------------- predictions
 
@@ -203,7 +195,6 @@ class SerranoGenerator(TopologyGenerator):
             raise ValueError("snapshot sizes must lie in (n0, n]")
         rng = make_rng(seed)
         np_rng = make_numpy_rng(rng.getrandbits(63))
-        engine = self.resolve_engine(n)
         kappa = self.kappa if self.kappa is not None else (
             self._auto_kappa(n) if self.distance else 0.0
         )
@@ -214,8 +205,8 @@ class SerranoGenerator(TopologyGenerator):
             else None
         )
         positions: List[Point] = []
-        # Coordinate arrays mirror `positions` so the vector adaptation
-        # kernel can compute distance blocks without attribute chasing.
+        # Coordinate arrays mirror `positions` so the adaptation kernel can
+        # compute distance blocks without attribute chasing.
         xs = np.empty(n, dtype=np.float64) if fractal is not None else None
         ys = np.empty(n, dtype=np.float64) if fractal is not None else None
 
@@ -246,7 +237,7 @@ class SerranoGenerator(TopologyGenerator):
         snapshots: Dict[int, Graph] = {}
         self._record(history, 0.0, omega, num_nodes, graph)
         t = 0
-        with self.trace_phase("grow", n=n, engine=engine):
+        with self.trace_phase("grow", n=n):
             while num_nodes < n:
                 t += 1
                 if t > 4 * total_steps + 100:
@@ -258,8 +249,8 @@ class SerranoGenerator(TopologyGenerator):
                     self._assign_users(omega, num_nodes, arrivals, np_rng)
                 # -- 2. supply growth --------------------------------------
                 n_target = min(n, round(self.n0 * math.exp(self.beta * t)))
-                if engine == "vector" and n_target > num_nodes and num_nodes >= 512:
-                    self._spawn_nodes_vector(
+                if n_target > num_nodes:
+                    self._spawn_nodes(
                         graph, omega, num_nodes, n_target - num_nodes, np_rng
                     )
                     for new_id in range(num_nodes, n_target):
@@ -269,30 +260,15 @@ class SerranoGenerator(TopologyGenerator):
                             xs[new_id] = point.x
                             ys[new_id] = point.y
                     num_nodes = n_target
-                else:
-                    while num_nodes < n_target:
-                        self._spawn_node(graph, omega, num_nodes, np_rng)
-                        if fractal is not None:
-                            point = fractal.sample_point()
-                            positions.append(point)
-                            xs[num_nodes] = point.x
-                            ys[num_nodes] = point.y
-                        num_nodes += 1
                 # -- 3. churn ----------------------------------------------
                 if self.churn > 0:
                     self._relocate_users(omega, num_nodes, np_rng)
                 # -- 4. adaptation -----------------------------------------
                 bandwidth_target = self.b0 * math.exp(self.delta_prime * t)
-                if engine == "vector":
-                    self._adapt_vector(
-                        graph, omega, strength, num_nodes, bandwidth_target,
-                        xs, ys, kappa, np_rng,
-                    )
-                else:
-                    self._adapt(
-                        graph, omega, strength, num_nodes, bandwidth_target,
-                        positions, kappa, rng,
-                    )
+                self._adapt(
+                    graph, omega, strength, num_nodes, bandwidth_target,
+                    xs, ys, kappa, np_rng,
+                )
                 self._record(history, float(t), omega, num_nodes, graph)
                 while pending_snapshots and num_nodes >= pending_snapshots[0]:
                     size = pending_snapshots.pop(0)
@@ -352,24 +328,28 @@ class SerranoGenerator(TopologyGenerator):
         graph.add_node(new_id)
         omega[new_id] = self.omega0
 
-    def _spawn_nodes_vector(
+    def _spawn_nodes(
         self, graph: Graph, omega, first_id: int, count: int, np_rng
     ) -> None:
-        """Batch supply growth: one aggregate withdrawal for a step's spawns.
+        """Supply growth for one time step: *count* ASes from *first_id* on.
 
-        The scalar path seeds ASes one at a time, re-scanning the donor pool
-        per spawn — O(n) numpy work per node, the dominant cost at full
-        scale.  Here all of a time step's arrivals are seeded together and
-        their combined ``count·ω₀`` users are withdrawn in one uniform draw
-        per redraw round.  Donors are the pre-step nodes only: letting the
-        batch's own spawns absorb part of the withdrawal systematically
-        under-drains the founder nodes while the network is small, a bias
-        that preferential arrivals then compound for the rest of the run.
-        The caller therefore batches only once the network is large enough
-        (≥ 512 nodes) that a step's spawns are a few percent of the pool.
+        :meth:`_spawn_node` seeds ASes one at a time, re-scanning the donor
+        pool per spawn — O(n) numpy work per node, the dominant cost at
+        full scale.  From 512 nodes on, all of a step's arrivals are seeded
+        together and their combined ``count·ω₀`` users are withdrawn in one
+        uniform draw per redraw round.  Donors are the pre-step nodes only:
+        letting the batch's own spawns absorb part of the withdrawal
+        systematically under-drains the founder nodes while the network is
+        small, a bias that preferential arrivals then compound for the rest
+        of the run.  Below 512 nodes, where a step's spawns are more than a
+        few percent of the pool, ASes are therefore seeded one at a time.
         W is conserved either way; the KS equivalence suite bounds the
-        residual within-step difference.
+        residual within-step difference against the one-at-a-time oracle.
         """
+        if first_id < 512:
+            for new_id in range(first_id, first_id + count):
+                self._spawn_node(graph, omega, new_id, np_rng)
+            return
         last = first_id + count
         graph.add_nodes(range(first_id, last))
         omega[first_id:last] = self.omega0
@@ -408,87 +388,7 @@ class SerranoGenerator(TopologyGenerator):
         stay = omega[:num_nodes]
         omega[:num_nodes] += np_rng.multinomial(moved, stay / stay.sum())
 
-    @staticmethod
-    def _acceptance(
-        omega_i: float,
-        omega_j: float,
-        point_i: Point,
-        point_j: Point,
-        kappa: float,
-        w_total: float,
-    ) -> float:
-        """Distance acceptance exp(-d/d_c) with d_c = ω_i ω_j / (κ W)."""
-        if kappa <= 0 or w_total <= 0:
-            return 0.0
-        d = math.hypot(point_i.x - point_j.x, point_i.y - point_j.y)
-        d_c = omega_i * omega_j / (kappa * w_total)
-        if d_c <= 0:
-            return 0.0
-        exponent = -d / d_c
-        return math.exp(exponent) if exponent > -700.0 else 0.0
-
     def _adapt(
-        self,
-        graph: Graph,
-        omega,
-        strength,
-        num_nodes: int,
-        bandwidth_target: float,
-        positions: List[Point],
-        kappa: float,
-        rng,
-    ) -> None:
-        """One adaptation round: compute activities and match active pairs."""
-        w_total = float(omega[:num_nodes].sum())
-        a_t = 2.0 * bandwidth_target / w_total
-        desired = np.maximum(1.0 + a_t * (omega[:num_nodes] - self.omega0), 1.0)
-        need = np.floor(desired - strength[:num_nodes] + 0.5)
-        need = np.maximum(need, 0.0)
-        active = np.nonzero(need)[0]
-        if active.size < 2:
-            return
-        sampler = FenwickSampler((float(need[i]) for i in active), seed=rng)
-        index_of = {int(node): pos for pos, node in enumerate(active)}
-        remaining = {int(node): int(need[node]) for node in active}
-        budget = int(50 + 30 * need.sum())
-
-        def consume(node: int, amount: int = 1) -> None:
-            remaining[node] -= amount
-            strength[node] += amount
-            sampler.update(index_of[node], float(max(remaining[node], 0)))
-
-        while budget > 0 and sampler.total > 0:
-            budget -= 1
-            pos_i = sampler.sample()
-            i = int(active[pos_i])
-            # Mask i out while drawing the partner.
-            saved = sampler.weight(pos_i)
-            sampler.update(pos_i, 0.0)
-            if sampler.total <= 0:
-                sampler.update(pos_i, saved)
-                break
-            pos_j = sampler.sample()
-            sampler.update(pos_i, saved)
-            j = int(active[pos_j])
-            if positions:
-                accept = self._acceptance(
-                    float(omega[i]), float(omega[j]),
-                    positions[i], positions[j], kappa, w_total,
-                )
-                if rng.random() >= accept:
-                    continue
-            graph.add_edge(i, j)
-            consume(i)
-            consume(j)
-            # Bandwidth reinforcement: parallel units with probability r.
-            while (
-                remaining[i] > 0 and remaining[j] > 0 and rng.random() < self.r
-            ):
-                graph.add_edge(i, j)
-                consume(i)
-                consume(j)
-
-    def _adapt_vector(
         self,
         graph: Graph,
         omega,
@@ -500,19 +400,20 @@ class SerranoGenerator(TopologyGenerator):
         kappa: float,
         np_rng,
     ) -> None:
-        """Batch adaptation round: whole blocks of activity-weighted pairs.
+        """One adaptation round: whole blocks of activity-weighted pairs.
 
-        The scalar kernel draws one pair at a time from a Fenwick tree and
-        re-weights after every link.  Here each round snapshots the
-        outstanding need, draws a block of pairs by ``searchsorted`` over its
-        running sum, applies the distance acceptance ``exp(-d/d_c)``
-        vectorized, and realizes each accepted pair's reinforcement run as a
-        single geometric draw — ``min(G, need_i, need_j)`` with
-        ``G ~ Geometric(1-r)`` is exactly the distribution of the scalar
-        1 + while-``r`` loop, truncated by either side's budget.  A light
-        Python pass resolves intra-block conflicts (pairs whose endpoints an
-        earlier pair already exhausted), and all units commit through one
-        bulk :meth:`Graph.add_edges`.
+        Each round snapshots the outstanding need, draws a block of pairs
+        by ``searchsorted`` over its running sum, applies the distance
+        acceptance ``exp(-d/d_c)`` with ``d_c = ω_i ω_j / (κ W)``
+        vectorized, and realizes each accepted pair's reinforcement run as
+        a single geometric draw — ``min(G, need_i, need_j)`` with
+        ``G ~ Geometric(1-r)`` is exactly the distribution of one link plus
+        a further unit with probability ``r`` while both sides still need
+        bandwidth.  Pairs are drawn from the round's activity snapshot, not
+        re-weighted after every link.  A light Python pass resolves
+        intra-block conflicts (pairs whose endpoints an earlier pair already
+        exhausted), and all units commit through one bulk
+        :meth:`Graph.add_edges`.
         """
         w_total = float(omega[:num_nodes].sum())
         a_t = 2.0 * bandwidth_target / w_total
@@ -535,9 +436,9 @@ class SerranoGenerator(TopologyGenerator):
                 break
             # A round's pair weights are a snapshot: too large a block lets
             # stale high-need endpoints soak up proposals after exhaustion,
-            # concentrating reinforcement on fewer distinct pairs than the
-            # per-draw re-weighted scalar kernel.  ~total/8 keeps the
-            # staleness negligible at a few extra (cheap) rounds.
+            # concentrating reinforcement on fewer distinct pairs than a
+            # per-draw re-weighted kernel.  ~total/8 keeps the staleness
+            # negligible at a few extra (cheap) rounds.
             block = int(min(max(total / 8.0, 16.0), float(1 << 18)))
             pos_i = np.searchsorted(cum, np_rng.random(block) * total, side="right")
             pos_j = np.searchsorted(cum, np_rng.random(block) * total, side="right")

@@ -120,7 +120,7 @@ class Graph:
 
         Same semantics per edge (endpoint creation, weight reinforcement on
         repeats, no self-loops), but the whole batch pays one version bump —
-        the path the vector growth engines and dataset loaders commit their
+        the path the growth kernels and dataset loaders commit their
         edge blocks through.
         """
         adj = self._adj

@@ -139,7 +139,6 @@ class ServeDispatcher:
         threads: Optional[int] = None,
         mp_context=None,
         journal=None,
-        engine: str = "auto",
         unit_timeout: Optional[float] = None,
         retries: int = 1,
         start: bool = True,
@@ -161,7 +160,6 @@ class ServeDispatcher:
         self.reaped_at_start = self.spool.reap_staging()
         self.worlds_dir = self.root / "worlds"
         self.worlds_dir.mkdir(parents=True, exist_ok=True)
-        self.engine = engine
         self.unit_timeout = unit_timeout
         self.retries = retries
         self.pool = WorkerPool(jobs, resolve_mp_context(mp_context))
@@ -394,8 +392,6 @@ class ServeDispatcher:
             generator = make_generator(str(model), **gen_params)
         except (KeyError, TypeError, ValueError) as exc:
             raise ServeError(f"cannot build model {model!r}: {exc}")
-        if self.engine != "auto":
-            generator.engine = self.engine
         if "replicate" in params:
             # Battery-compatible addressing: the battery's own seed for
             # this replicate, so served cells and battery cells are
@@ -578,8 +574,6 @@ class ServeDispatcher:
             generator = make_generator(spec["model"], **spec["params"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ServeError(f"cannot build model {spec['model']!r}: {exc}")
-        if self.engine != "auto":
-            generator.engine = self.engine
         path = self._world_path(world)
         report = generator.generate_to_store(
             spec["n"], path, seed=spec["seed"],

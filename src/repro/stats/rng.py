@@ -61,7 +61,7 @@ def make_numpy_rng(seed: NumpySeedLike = None) -> np.random.Generator:
 class BufferedUniforms:
     """Scalar uniforms served from block refills of a numpy Generator.
 
-    The vector growth engines interleave O(1) data-structure draws with
+    The growth kernels interleave O(1) data-structure draws with
     occasional branching; calling ``Generator.random()`` per draw costs
     ~1 µs of dispatch, while refilling an 8K block amortizes that to
     nanoseconds.  Consumes the underlying stream in one chunk per refill.

@@ -193,7 +193,7 @@ class FenwickSampler:
 class CumulativeSampler:
     """Batch weighted sampler over a numpy weight array.
 
-    The vector growth engines draw attachment targets in blocks: one
+    Batch growth kernels draw attachment targets in blocks: one
     ``searchsorted`` over the cumulative weight array replaces thousands of
     Fenwick descents.  The cumsum is rebuilt lazily after weight updates, so
     the intended pattern is *update rarely, draw in batches* — e.g. rebuild

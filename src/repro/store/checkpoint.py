@@ -1,7 +1,7 @@
 """Checkpointed chunked growth into a store.
 
 :func:`grow_to_store` is the scale path for generation: the topology is
-grown (the PR 5 vector engine batches the growth itself) and flushed into
+grown (the growth kernels batch their own draws) and flushed into
 the SQLite store **every k nodes**, one transaction per chunk, with a
 checkpoint row committed atomically alongside the chunk's rows.  The
 chunking follows the graph's node insertion order — growth order, for
@@ -13,10 +13,10 @@ Crash-resume contract: re-running the same call against the same store
 * skips regeneration entirely when the store is already complete (the
   stored fingerprint is the identity);
 * otherwise regenerates deterministically (same model, params, n, seed,
-  and — for engine-sensitive generators — the same resolved engine, all
-  recorded in the store's ``growth`` metadata and re-validated on
-  resume), then re-ingests **only the chunks whose checkpoint rows are
-  missing**.
+  and — for the six families that once had a second growth kernel — the
+  kernel, all recorded in the store's ``growth`` metadata and
+  re-validated on resume), then re-ingests **only the chunks whose
+  checkpoint rows are missing**.
 
 The resumed store is bit-identical to a one-shot run — asserted by the
 storage round-trip suite — because WAL-journaled SQLite rolls an
@@ -68,9 +68,11 @@ class GrowthReport:
 def _growth_identity(generator, n: int, seed: SeedLike, every: int) -> Dict[str, Any]:
     """The provenance stamp that makes a resume verifiable.
 
-    Mirrors the battery's cache identity: registry name + params, plus the
-    resolved engine for engine-sensitive generators (a resume on the other
-    engine would regenerate a *different* graph and corrupt the store).
+    Mirrors the battery's cache identity: registry name + params, plus
+    ``"engine": "vector"`` for ``engine_sensitive`` generators.  A store
+    grown by one of their retired python kernels records ``"python"``, so
+    its resume is refused instead of being continued by a kernel that
+    builds a *different* graph.
     """
     identity: Dict[str, Any] = {
         "model": generator.name or type(generator).__name__,
@@ -80,7 +82,7 @@ def _growth_identity(generator, n: int, seed: SeedLike, every: int) -> Dict[str,
         "checkpoint_every": every,
     }
     if generator.engine_sensitive:
-        identity["engine"] = generator.resolve_engine(n)
+        identity["engine"] = generator.cache_params(n)["engine"]
     # Canonicalize through JSON so the identity compares equal to its own
     # meta-table round-trip (tuples become lists, keys sort).
     return json.loads(json.dumps(identity, sort_keys=True, default=repr))

@@ -12,6 +12,7 @@ from repro.bgpsim import (
     prefer,
     route_class,
 )
+from repro.core.registry import available_models, make_generator
 from repro.economics import RelationshipMap, assign_relationships, routing_table
 from repro.graph import Graph, giant_component
 
@@ -119,6 +120,34 @@ class TestConvergence:
                 path = sim.path_from(node)
                 simulated = None if path is None else len(path) - 1
                 assert declarative == simulated, (dest, node)
+
+
+class TestRibConsistency:
+    """Every converged route rests on its next hop's current route.
+
+    A receiver that kept a neighbor's superseded advertisement would hold
+    a path whose tail no longer matches that neighbor's best route; the
+    declarative :func:`routing_table` then disagrees on its hop count.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("model", available_models())
+    def test_routes_match_next_hop_and_declarative_table(self, model, seed):
+        g = giant_component(make_generator(model).generate(300, seed=seed))
+        rels = assign_relationships(g)
+        for dest in sorted(g.nodes(), key=str)[:10]:
+            sim = BgpSimulation(g, rels, dest)
+            sim.converge()
+            for node, route in sim.rib.items():
+                if node != dest:
+                    next_hop = sim.rib.get(route.path[1])
+                    assert next_hop is not None, (dest, node)
+                    assert next_hop.path == route.path[1:], (dest, node)
+            table = routing_table(g, rels, dest)
+            for node in g.nodes():
+                path = sim.path_from(node)
+                simulated = None if path is None else len(path) - 1
+                assert table.hops.get(node) == simulated, (dest, node)
 
 
 class TestWithdrawal:

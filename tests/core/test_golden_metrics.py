@@ -25,7 +25,6 @@ Never edit an existing version's entry.
 import json
 import math
 import numbers
-import os
 import sys
 from pathlib import Path
 
@@ -35,7 +34,6 @@ import pytest
 from repro.core.battery import SUMMARIZE_DEFAULTS
 from repro.core.metrics import METRIC_GROUPS, METRICS_VERSION, compute_metric_groups
 from repro.core.registry import available_models, make_generator
-from repro.generators.engine import REPRO_ENGINE_ENV
 from repro.stats.powerlaw import fit_powerlaw_auto_xmin, sample_discrete_powerlaw
 
 GOLDEN_PATH = Path(__file__).with_name("golden_metrics.json")
@@ -118,13 +116,6 @@ _BUMP = (
 )
 
 
-@pytest.fixture(autouse=True)
-def _default_engine(monkeypatch):
-    # The six engine-sensitive families build other graphs under
-    # REPRO_ENGINE=vector; the corpus is the default engine's graphs.
-    monkeypatch.delenv(REPRO_ENGINE_ENV, raising=False)
-
-
 def test_current_version_has_an_entry():
     assert METRICS_VERSION in GOLDEN, (
         f"golden_metrics.json has no entry for METRICS_VERSION={METRICS_VERSION!r} "
@@ -185,6 +176,5 @@ if __name__ == "__main__":
             f"METRICS_VERSION={METRICS_VERSION!r} already has an entry; "
             "bump METRICS_VERSION to record new values"
         )
-    os.environ.pop(REPRO_ENGINE_ENV, None)
     GOLDEN[METRICS_VERSION] = {cell: compute_cell(cell) for cell in CELL_NAMES}
     print(_dump(GOLDEN))

@@ -39,6 +39,15 @@ class TestReferenceMap:
         b = reference_generator().generate(400, seed=20010515)
         assert {frozenset(e) for e in a.edges()} == {frozenset(e) for e in b.edges()}
 
+    @pytest.mark.parametrize(
+        "n, expected",
+        [(2000, 1509884144456225266), (3000, 3026069821651568393)],
+    )
+    def test_edge_for_edge_stable(self, n, expected):
+        # The T1 target and battery-cold's n=2000 target: a pinned graph,
+        # not only a graph inside the tolerance bands.
+        assert reference_as_map(n).fingerprint() == expected
+
     def test_heavy_tail(self, ref_summary):
         assert not math.isnan(ref_summary.degree_exponent)
         assert 1.8 < ref_summary.degree_exponent < 2.6

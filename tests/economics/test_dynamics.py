@@ -52,6 +52,12 @@ class TestSimulation:
         assert evolution.final_graph.num_nodes == evolution.rounds[-1].num_ases
         assert evolution.final_report is not None
 
+    def test_final_report_settles_final_graph(self, evolution):
+        assert evolution.rounds[-1].exits == 0
+        assert set(evolution.final_report.books) == set(
+            evolution.final_graph.nodes()
+        )
+
     def test_original_graph_untouched(self, serrano_run):
         before = serrano_run.graph.num_nodes
         simulate_market_evolution(

@@ -2,7 +2,7 @@
 
 The acceptance bar: ``repro experiment t5`` emits a ranking table covering
 all 12 registry models, and the harness threads every battery knob
-(jobs, cache, engine) like T1 does.
+(jobs, cache) like T1 does.
 """
 
 import math
@@ -101,7 +101,7 @@ class TestT5Cli:
             "experiment", "t5",
             "--param", "n=250", "--param", "seeds=1",
             "--param", "models=barabasi-albert,erdos-renyi",
-            "--engine", "vector", "--jobs", "2",
+            "--jobs", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0

@@ -1,21 +1,21 @@
-"""Engine-equivalence suite: growth kernels vs their references.
+"""Engine-equivalence suite: growth kernels vs their reference oracles.
 
-Two contracts, per :mod:`repro.generators.engine`:
+Every family has one production growth kernel, and
+``golden_fingerprints.json`` pins each kernel's graphs.  Two contracts
+tie the kernels to the reference loops in :mod:`.oracles`:
 
 * **draw-order-preserving** generators (``engine_sensitive = False``)
-  have one growth kernel.  Their graphs are pinned by golden
-  fingerprints (``golden_fingerprints.json``) recorded while each family
-  still had a python and a vector kernel that agreed; inet's and brite's
-  kernels are also checked against the reference loops in
-  :mod:`.oracles` across a hypothesis seed sweep;
-* **engine-sensitive** generators (``engine_sensitive = True``) must
-  produce *distributionally equivalent* graphs: identical node counts,
-  mean degree within a few percent, and a small two-sample KS distance
-  between degree distributions pooled across seeds.
+  build exactly their oracle's graph; inet's and brite's kernels are
+  checked against their oracles across a hypothesis seed sweep;
+* **engine-sensitive** generators (``engine_sensitive = True``) sample
+  their oracle's kernel from other draws, so they must produce
+  *distributionally equivalent* graphs: identical node counts, mean
+  degree within a few percent, and a small two-sample KS distance between
+  degree distributions pooled across seeds.  The oracle takes the
+  ``python`` slot, production the ``vector`` one.
 
-Plus the selection machinery itself: explicit > environment > size
-threshold, validated everywhere, and the resolved engine joining the
-battery cache identity for engine-sensitive generators only.
+Plus the cache identity: ``"engine": "vector"`` joins the keys of
+engine-sensitive generators only.
 """
 
 import json
@@ -25,6 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.battery import plan_cells
+from repro.core.cache import canonical_key
+from repro.core.registry import make_generator
 from repro.generators import (
     AlbertBarabasiGenerator,
     BarabasiAlbertGenerator,
@@ -38,95 +41,80 @@ from repro.generators import (
     TransitStubGenerator,
     WaxmanGenerator,
 )
-from repro.generators import engine as engine_mod
-from repro.generators.engine import AUTO_VECTOR_THRESHOLD, resolve_engine
 from repro.stats.distributions import ks_distance
+from repro.store.checkpoint import _growth_identity
 
-from .oracles import HeapInetGenerator, ScanBriteGenerator
+from .oracles import (
+    FenwickBianconiBarabasiGenerator,
+    FenwickGlpGenerator,
+    FenwickPfpGenerator,
+    FenwickSerranoGenerator,
+    HeapInetGenerator,
+    ScalarAlbertBarabasiGenerator,
+    ScalarBarabasiAlbertGenerator,
+    ScanBriteGenerator,
+)
 
-# ---------------------------------------------------------------- selection
+# ----------------------------------------------------------- cache identity
 
-
-class TestResolveEngine:
-    def test_explicit_choices_pass_through(self):
-        assert resolve_engine("python", 10**9) == "python"
-        assert resolve_engine("vector", 1) == "vector"
-
-    def test_auto_uses_size_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine("auto", AUTO_VECTOR_THRESHOLD - 1) == "python"
-        assert resolve_engine("auto", AUTO_VECTOR_THRESHOLD) == "vector"
-
-    def test_env_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "vector")
-        assert resolve_engine("auto", 1) == "vector"
-        monkeypatch.setenv("REPRO_ENGINE", "python")
-        assert resolve_engine("auto", 10**9) == "python"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "vector")
-        assert resolve_engine("python", 10**9) == "python"
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("fortran", 100)
-
-    def test_invalid_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "fortran")
-        with pytest.raises(ValueError, match="REPRO_ENGINE"):
-            resolve_engine("auto", 100)
-
-    def test_generator_setter_validates(self):
-        generator = WaxmanGenerator()
-        with pytest.raises(ValueError, match="unknown engine"):
-            generator.engine = "fortran"
-
-    @given(
-        size=st.integers(min_value=1, max_value=3 * AUTO_VECTOR_THRESHOLD),
-        choice=st.sampled_from(["auto", "python", "vector"]),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_resolution_is_total_and_consistent(self, size, choice):
-        # Manual env scrub (not monkeypatch): hypothesis runs many examples
-        # per test call, which function-scoped fixtures can't wrap.
-        import os
-
-        saved_env = os.environ.pop("REPRO_ENGINE", None)
-        try:
-            resolved = resolve_engine(choice, size)
-            assert resolved in ("python", "vector")
-            if choice != "auto":
-                assert resolved == choice
-            else:
-                assert resolved == (
-                    "vector" if size >= AUTO_VECTOR_THRESHOLD else "python"
-                )
-        finally:
-            if saved_env is not None:
-                os.environ["REPRO_ENGINE"] = saved_env
+#: (model, n) → (spool generation key, checkpoint-identity key) at seed 5,
+#: checkpoint_every 1000, recorded while ``engine="auto"`` still took the
+#: python kernels below 6000 nodes.  The six engine-sensitive families now
+#: always run the kernel that auto took at n=7000.
+PARENT_KEYS = {
+    ("barabasi-albert", 250): (
+        "b5b37e86b4dea7093ba86fb87dbb94c038a953d4c3eb099b7ff0debbd03f35fa",
+        "73ddcebc70a41fcda2ec6a067a4fde6d979dac35844b379dcf498a1883ea129b",
+    ),
+    ("barabasi-albert", 7000): (
+        "fb386d588a5bc4989e184a13568ed36349c5d1cfd0cfccd3a2b8e265473305ab",
+        "46d536d2d14ac39bbf131d899fc805d801dff365ab21b746f149ac82e8e04eca",
+    ),
+    ("serrano", 250): (
+        "09997371805722c161a04bd99c9a608741bdef6330f4bf3d9c1dab162a3f6c86",
+        "091cbd69d28f3710c1dca93720a4f9baec2954b8dd1704b99fd770307dce0eae",
+    ),
+    ("serrano", 7000): (
+        "e2695cf0463c423cb845b7ecaaf4327e25bc9ddbd33c433185344c771e34968d",
+        "8a955114c8aa7483bd52621fc66f463af2576771cb1201a2cfb1321aa04c1e4d",
+    ),
+    ("waxman", 250): (
+        "1aa7a463cc1e55cd98d62a716cf380738e8659de1a4f0b28519f213fc7d00063",
+        "a11effbd77443fd5d754d6697292801c439a8dd4bc872058523005f6657c4d57",
+    ),
+    ("waxman", 7000): (
+        "3eb311cfa76a874f53813efcfeb445a3839bd0cd3931c68d9aa81cb9021989be",
+        "36db901e61b09aa156a791761d93ba22185c0228ed85691f4d32abf77ca98ab0",
+    ),
+}
 
 
 class TestCacheIdentity:
+    @pytest.mark.parametrize("model, n", sorted(PARENT_KEYS))
+    def test_keys_reuse_only_same_kernel_builds(self, model, n):
+        generator = make_generator(model)
+        gen_key = plan_cells(generator, n, 5, (), {}).gen_key
+        identity = canonical_key(_growth_identity(generator, n, 5, 1000))
+        parent_gen_key, parent_identity = PARENT_KEYS[model, n]
+        if n >= 6000 or not generator.engine_sensitive:
+            assert (gen_key, identity) == (parent_gen_key, parent_identity)
+        else:
+            # A python-kernel graph must never be attached or resumed as if
+            # the vector kernel had built it.
+            assert gen_key != parent_gen_key
+            assert identity != parent_identity
+
     def test_engine_never_in_params(self):
-        waxman = WaxmanGenerator()
-        waxman.engine = "vector"
-        for generator in (waxman, SerranoGenerator()):
+        for generator in (WaxmanGenerator(), SerranoGenerator()):
             assert "engine" not in generator.params()
 
     def test_order_preserving_cache_params_engine_free(self):
-        generator = WaxmanGenerator()
-        generator.engine = "vector"
-        assert "engine" not in generator.cache_params(500)
+        assert "engine" not in WaxmanGenerator().cache_params(500)
 
-    def test_sensitive_cache_params_carry_resolved_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        generator = SerranoGenerator(engine="vector")
-        assert generator.cache_params(500)["engine"] == "vector"
-        generator.engine = "auto"
-        assert generator.cache_params(500)["engine"] == "python"
-        assert (
-            generator.cache_params(AUTO_VECTOR_THRESHOLD)["engine"] == "vector"
-        )
+    def test_sensitive_cache_params_carry_resolved_engine(self):
+        generator = SerranoGenerator()
+        for n in (500, 7000):
+            assert generator.cache_params(n)["engine"] == "vector"
 
     def test_classification(self):
         sensitive = (
@@ -143,9 +131,10 @@ class TestCacheIdentity:
 
 # ------------------------------------------- draw-order-preserving: identity
 
-GOLDEN = json.loads(
+GOLDEN_TABLE = json.loads(
     (Path(__file__).with_name("golden_fingerprints.json")).read_text()
-)["fingerprints"]
+)
+GOLDEN = GOLDEN_TABLE["fingerprints"]
 
 ORDER_PRESERVING = {
     "brite": BriteGenerator,
@@ -220,50 +209,78 @@ class TestFingerprintIdentity:
         )
 
 
-class TestAutoThresholdStraddle:
-    """engine="auto" must swap kernels exactly at the threshold, and build
-    exactly the graph of the engine it resolves to."""
-
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        offset=st.integers(min_value=-3, max_value=3),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_fingerprints_stable_across_threshold(self, seed, offset):
-        # Manual patching: hypothesis generates many inputs per test call,
-        # which pytest's function-scoped monkeypatch fixture can't wrap.
-        import os
-
-        threshold = 150
-        saved_threshold = engine_mod.AUTO_VECTOR_THRESHOLD
-        saved_env = os.environ.pop("REPRO_ENGINE", None)
-        engine_mod.AUTO_VECTOR_THRESHOLD = threshold
-        try:
-            n = threshold + offset
-            generator = BarabasiAlbertGenerator(m=2)  # engine defaults to auto
-            expected = "vector" if n >= threshold else "python"
-            assert generator.resolve_engine(n) == expected
-            auto_graph = generator.generate(n, seed=seed)
-            pinned = BarabasiAlbertGenerator(m=2, engine=expected).generate(
-                n, seed=seed
-            )
-            assert auto_graph.fingerprint() == pinned.fingerprint()
-        finally:
-            engine_mod.AUTO_VECTOR_THRESHOLD = saved_threshold
-            if saved_env is not None:
-                os.environ["REPRO_ENGINE"] = saved_env
-
-
 # ------------------------------------------------ engine-sensitive: KS bands
 
+#: Per family: engine slot → class; the oracle fills the python slot.
 ENGINE_SENSITIVE = {
-    "barabasi-albert": lambda e: BarabasiAlbertGenerator(m=2, engine=e),
-    "albert-barabasi": lambda e: AlbertBarabasiGenerator(engine=e),
-    "bianconi-barabasi": lambda e: BianconiBarabasiGenerator(m=2, engine=e),
-    "glp": lambda e: GlpGenerator(engine=e),
-    "pfp": lambda e: PfpGenerator(engine=e),
-    "serrano": lambda e: SerranoGenerator(engine=e),
+    "barabasi-albert": {
+        "python": ScalarBarabasiAlbertGenerator,
+        "vector": BarabasiAlbertGenerator,
+    },
+    "albert-barabasi": {
+        "python": ScalarAlbertBarabasiGenerator,
+        "vector": AlbertBarabasiGenerator,
+    },
+    "bianconi-barabasi": {
+        "python": FenwickBianconiBarabasiGenerator,
+        "vector": BianconiBarabasiGenerator,
+    },
+    "glp": {"python": FenwickGlpGenerator, "vector": GlpGenerator},
+    "pfp": {"python": FenwickPfpGenerator, "vector": PfpGenerator},
+    "serrano": {"python": FenwickSerranoGenerator, "vector": SerranoGenerator},
 }
+
+#: The fingerprint tables also pin Serrano's distance variant.
+PINNED = {
+    **ENGINE_SENSITIVE,
+    "serrano-distance": {
+        "python": lambda: FenwickSerranoGenerator(distance=True),
+        "vector": lambda: SerranoGenerator(distance=True),
+    },
+}
+
+
+def _cells(table):
+    return [
+        (name, int(cell.split("/")[0]), int(cell.split("/")[1]), value)
+        for name, cells in sorted(GOLDEN_TABLE[table].items())
+        for cell, value in sorted(cells.items())
+    ]
+
+
+VECTOR_CELLS = _cells("engine_sensitive")
+ORACLE_CELLS = _cells("oracles")
+
+
+class TestEngineSensitiveFingerprints:
+    """Production reproduces the graphs its vector kernels built while
+    these families also had a python kernel, and each oracle reproduces
+    that python kernel's graphs: the move of the python loops into
+    :mod:`.oracles` perturbed neither side."""
+
+    def test_tables_cover_every_engine_sensitive_family(self):
+        assert set(GOLDEN_TABLE["engine_sensitive"]) == set(PINNED)
+        assert set(GOLDEN_TABLE["oracles"]) == set(PINNED)
+        assert len(VECTOR_CELLS) == 7 * 6
+        assert all(slots["vector"]().engine_sensitive for slots in PINNED.values())
+
+    @pytest.mark.parametrize(
+        "name, n, seed, expected",
+        VECTOR_CELLS,
+        ids=[f"{name}-{n}-{seed}" for name, n, seed, _ in VECTOR_CELLS],
+    )
+    def test_production_reproduces_vector_golden(self, name, n, seed, expected):
+        graph = PINNED[name]["vector"]().generate(n, seed=seed)
+        assert graph.fingerprint() == expected
+
+    @pytest.mark.parametrize(
+        "name, n, seed, expected",
+        ORACLE_CELLS,
+        ids=[f"{name}-{n}-{seed}" for name, n, seed, _ in ORACLE_CELLS],
+    )
+    def test_oracle_reproduces_python_golden(self, name, n, seed, expected):
+        graph = PINNED[name]["python"]().generate(n, seed=seed)
+        assert graph.fingerprint() == expected
 
 #: Pooled-degree KS ceiling.  Same-engine/different-seed runs of these
 #: models sit around 0.01-0.03 at this size; 0.08 catches a real kernel
@@ -277,7 +294,7 @@ MEAN_DEGREE_RTOL = 0.08
 class TestDistributionalEquivalence:
     @pytest.mark.parametrize("name", sorted(ENGINE_SENSITIVE))
     def test_degree_distributions_match(self, name):
-        make = ENGINE_SENSITIVE[name]
+        make = lambda engine: ENGINE_SENSITIVE[name][engine]()
         n, seeds = 1500, (11, 23, 47)
         python_degrees = []
         vector_degrees = []
@@ -301,12 +318,8 @@ class TestDistributionalEquivalence:
         )
 
     def test_serrano_conserves_users_and_weight(self):
-        python_run = SerranoGenerator(engine="python").generate_detailed(
-            900, seed=5
-        )
-        vector_run = SerranoGenerator(engine="vector").generate_detailed(
-            900, seed=5
-        )
+        python_run = FenwickSerranoGenerator().generate_detailed(900, seed=5)
+        vector_run = SerranoGenerator().generate_detailed(900, seed=5)
         assert python_run.total_users == vector_run.total_users
         assert vector_run.graph.total_weight == pytest.approx(
             python_run.graph.total_weight, rel=0.05
@@ -314,8 +327,8 @@ class TestDistributionalEquivalence:
 
     def test_bb_custom_fitness_callable_still_works(self):
         # Single-valued fitness reduces BB to BA on either engine.
-        make = lambda e: BianconiBarabasiGenerator(
-            m=2, fitness=lambda rng: 1.0, engine=e
+        make = lambda e: ENGINE_SENSITIVE["bianconi-barabasi"][e](
+            m=2, fitness=lambda rng: 1.0
         )
         python_graph = make("python").generate(600, seed=3)
         vector_graph = make("vector").generate(600, seed=3)
@@ -325,19 +338,3 @@ class TestDistributionalEquivalence:
             ks_distance(degrees(python_graph), degrees(vector_graph))
             < KS_CEILING
         )
-
-
-# --------------------------------------------------------------- smoke: env
-
-
-class TestEnvSelection:
-    def test_env_flips_a_default_generator(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "vector")
-        generator = BarabasiAlbertGenerator(m=2)
-        assert generator.resolve_engine(50) == "vector"
-        graph = generator.generate(80, seed=1)
-        monkeypatch.setenv("REPRO_ENGINE", "python")
-        reference = BarabasiAlbertGenerator(m=2, engine="vector").generate(
-            80, seed=1
-        )
-        assert graph.fingerprint() == reference.fingerprint()

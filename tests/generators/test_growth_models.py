@@ -8,7 +8,6 @@ from repro.generators import (
     GenerationError,
     GlpGenerator,
     PfpGenerator,
-    preferential_targets,
 )
 from repro.graph import (
     average_clustering,
@@ -17,6 +16,8 @@ from repro.graph import (
     is_connected,
 )
 from repro.stats import fit_discrete_powerlaw, fit_powerlaw_auto_xmin
+
+from .oracles import preferential_targets
 
 
 class TestPreferentialTargets:

@@ -13,6 +13,18 @@ from repro.stats import (
     fit_powerlaw_auto_xmin,
 )
 
+from .oracles import FenwickSerranoGenerator
+
+
+def _churn_gamma_shift(generator_class, seed: int) -> float:
+    """|Δγ| of the user-size tail between churn 0 and churn 0.05 (n=800)."""
+    gammas = []
+    for churn in (0.0, 0.05):
+        run = generator_class(churn=churn).generate_detailed(800, seed=seed)
+        sizes = [w for w in run.users.values() if w > 0]
+        gammas.append(fit_powerlaw_auto_xmin(sizes, min_tail=60).gamma)
+    return abs(gammas[0] - gammas[1])
+
 
 @pytest.fixture(scope="module")
 def run_1500():
@@ -184,23 +196,18 @@ class TestAnalyticClaims:
     def test_churn_is_drift_free(self):
         # The lambda term only adds diffusion: the size-distribution tail
         # exponent must be churn-invariant (the paper's analytic claim).
-        from repro.stats import fit_powerlaw_auto_xmin
+        # On the reference loop: one draw's gamma band is too tight for
+        # the production kernel's reordered draws at this small n (seed 21
+        # reads 0.68 there); test_churn_is_drift_free_in_median covers it.
+        assert _churn_gamma_shift(FenwickSerranoGenerator, seed=21) < 0.5
 
-        # Pinned to the reference kernel: the single-seed gamma band is too
-        # tight for the vector engine's reordered draws at this small n.
-        quiet = SerranoGenerator(churn=0.0, engine="python").generate_detailed(
-            800, seed=21
-        )
-        churned = SerranoGenerator(
-            churn=0.05, engine="python"
-        ).generate_detailed(800, seed=21)
-        fit_quiet = fit_powerlaw_auto_xmin(
-            [w for w in quiet.users.values() if w > 0], min_tail=60
-        )
-        fit_churned = fit_powerlaw_auto_xmin(
-            [w for w in churned.users.values() if w > 0], min_tail=60
-        )
-        assert abs(fit_quiet.gamma - fit_churned.gamma) < 0.5
+    def test_churn_is_drift_free_in_median(self):
+        # The same claim on the production kernel, over ten seeds: single
+        # draws reach 0.5 in about one seed in thirty, the median does not.
+        shifts = [
+            _churn_gamma_shift(SerranoGenerator, seed) for seed in range(21, 31)
+        ]
+        assert float(np.median(shifts)) < 0.5
 
     def test_densification_law(self):
         # E(t) grows superlinearly in N(t): delta/beta > 1 by construction,

@@ -3,9 +3,9 @@
 perfbench (``perfbench/``) drives the program through its public names.
 A rename or deletion there would surface only as a failed benchmark run,
 so this reads perfbench's sources as text and checks every
-``from repro... import name`` against the installed package, plus the one
-call whose keyword a kernel change could drop.  Nothing under
-``perfbench/`` is imported or changed.
+``from repro... import name`` against the installed package, plus the
+calls it makes on what those names return.  Nothing under ``perfbench/``
+is imported or changed.
 """
 
 import ast
@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.metrics import compute_metric_groups
+from repro.core.registry import available_models, make_generator
+from repro.experiments.rosters import standard_roster
 from repro.generators import BarabasiAlbertGenerator
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -61,3 +63,13 @@ def test_load_check_size_call_keeps_its_backend_keyword():
     assert compute_metric_groups(g, ["size"], backend="python") == (
         compute_metric_groups(g, ["size"])
     )
+
+
+@pytest.mark.parametrize("n", [250, 2000])
+def test_generators_answer_resolve_engine(n):
+    # perfbench labels generation spans with generator.resolve_engine(n),
+    # on make_generator(model) and standard_roster(n) results.
+    generators = [make_generator(model) for model in available_models()]
+    generators += list(standard_roster(n).values())
+    for generator in generators:
+        assert isinstance(generator.resolve_engine(n), str), generator
