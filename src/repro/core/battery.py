@@ -23,15 +23,17 @@ deterministic, so this module runs it that way:
   experiment, adding replicates, or re-scoring against a new target skips
   every already-computed cell (cache probes and writes happen only in the
   parent process, so workers never race on files);
-* **fault containment** — units are submitted individually, never via
-  ``pool.map``: one crashing generator, one metric exception, one unit
-  blowing its ``timeout``, even one worker process dying outright, costs
-  exactly that unit (after up to ``retries`` re-attempts).  The failed
-  replicate becomes a :class:`UnitRecord` with ``status="failed"`` (or
-  ``"timeout"``) carrying the traceback, its entry keeps a
-  :class:`~repro.core.metrics.PartialSummary` for the gap, every other
-  unit's results survive, and — with a cache — re-running the same command
-  recomputes only the failed cells;
+* **fault containment** — one loop, :meth:`WorkerPool.run`, owns
+  submission, retries, timeouts and journal events at every ``jobs``
+  (jobs=1 runs it in process).  Units are submitted individually, never
+  via ``pool.map``: one crashing generator, one metric exception, one
+  unit blowing its ``timeout``, even one worker process dying outright,
+  costs exactly that unit (after up to ``retries`` re-attempts).  The
+  failed replicate becomes a :class:`UnitRecord` with
+  ``status="failed"`` (or ``"timeout"``) carrying the traceback, its
+  entry keeps a :class:`~repro.core.metrics.PartialSummary` for the gap,
+  every other unit's results survive, and — with a cache — re-running
+  the same command recomputes only the failed cells;
 * **observability** — the run threads through :mod:`repro.obs`: a
   hierarchical span tree (``battery`` → ``unit`` → ``generate`` /
   ``metric.<group>``, exportable as a Chrome trace), ambient metrics
@@ -65,7 +67,7 @@ import warnings
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -626,7 +628,7 @@ def settle_unit(
     return True
 
 
-def _battery_task(task):
+def _battery_task(task) -> UnitOutcome:
     """Worker kernel: one unit of the task protocol (see :func:`unit_task`).
 
     Generates ``task["source"]`` when it is a generator, else attaches
@@ -642,10 +644,12 @@ def _battery_task(task):
     start method.  Installs a fresh ambient tracer and metrics registry
     for the unit's duration (identical behavior inline and in a pooled
     worker — no cross-unit bleed, no double counting) and samples rusage
-    around the work.  Returns (group → values, group → real wall seconds,
-    generation seconds, worker pid, obs payload) where the payload carries
-    the unit's span dicts, metrics snapshot, and resource sample.
+    around the work.  Returns an ``"ok"`` :class:`UnitOutcome` whose
+    ``seconds`` is the unit's own wall time, measured in the process that
+    ran it, and whose ``extras`` carry the unit's span dicts, metrics
+    snapshot and resource sample.
     """
+    started = time.perf_counter()
     unit = task["unit"]
     source = task["source"]
     obs_conf = task["obs"]
@@ -694,12 +698,18 @@ def _battery_task(task):
     }
     if handle is not None:
         obs_payload["handle"] = handle
-    return values, timings, gen_seconds, os.getpid(), obs_payload
+    return UnitOutcome(
+        "ok", values=values, timings=timings, gen_seconds=gen_seconds,
+        seconds=time.perf_counter() - started, worker=os.getpid(),
+        extras=obs_payload,
+    )
 
 
 @dataclass(frozen=True)
 class UnitOutcome:
-    """Terminal result of one work unit after all attempts."""
+    """One work unit's result: what :func:`_battery_task` returns for an
+    attempt that ran, and what :meth:`WorkerPool.run` returns per unit
+    after all attempts."""
 
     status: str  # "ok" | "failed" | "timeout"
     values: Optional[Dict[str, Dict[str, float]]] = None
@@ -718,8 +728,10 @@ def _format_exception(exc: BaseException) -> str:
 
 def _finish_fields(outcome: UnitOutcome) -> Dict[str, Any]:
     """Enriched unit_finish journal fields from a successful outcome:
-    generation seconds, per-group seconds, peak RSS, CPU seconds."""
+    attempt, seconds, worker, generation seconds, per-group seconds, peak
+    RSS, CPU seconds."""
     fields: Dict[str, Any] = {
+        "attempt": outcome.attempts - 1,
         "seconds": round(outcome.seconds, 6),
         "worker": outcome.worker,
         "gen_seconds": round(outcome.gen_seconds, 6),
@@ -733,73 +745,6 @@ def _finish_fields(outcome: UnitOutcome) -> Dict[str, Any]:
         fields["max_rss_kb"] = rusage.get("max_rss_kb")
         fields["cpu_seconds"] = rusage.get("cpu_seconds")
     return fields
-
-
-def _run_serial(
-    tasks: Sequence[Dict[str, Any]],
-    timeout: Optional[float],
-    retries: int,
-    journal: Union[RunJournal, NullJournal],
-) -> List[UnitOutcome]:
-    """Inline (jobs=1) execution with the same containment semantics as
-    :meth:`WorkerPool.run`.
-
-    A unit that overruns *timeout* inline cannot be preempted, so the
-    limit is enforced retroactively: the overrun unit's values are
-    discarded and it is recorded as a timeout, keeping jobs=1 and jobs>1
-    outcomes identical for deterministic workloads.
-    """
-    registry = get_registry()
-    outcomes: List[UnitOutcome] = []
-    for task in tasks:
-        info = task["unit"]
-        outcome: Optional[UnitOutcome] = None
-        for attempt in range(retries + 1):
-            journal.emit("unit_start", attempt=attempt, jobs=1, **info)
-            started = time.perf_counter()
-            try:
-                values, timings, gen_seconds, worker, extras = _battery_task(task)
-            except Exception as exc:
-                elapsed = time.perf_counter() - started
-                outcome = UnitOutcome(
-                    "failed", seconds=elapsed, worker=os.getpid(),
-                    error=_format_exception(exc), attempts=attempt + 1,
-                )
-            else:
-                elapsed = time.perf_counter() - started
-                if timeout is not None and elapsed > timeout:
-                    outcome = UnitOutcome(
-                        "timeout", seconds=elapsed, worker=os.getpid(),
-                        error=(
-                            f"TimeoutError: unit took {elapsed:.3f}s, "
-                            f"exceeding the {timeout}s per-unit timeout"
-                        ),
-                        attempts=attempt + 1,
-                    )
-                else:
-                    outcome = UnitOutcome(
-                        "ok", values=values, timings=timings,
-                        gen_seconds=gen_seconds, seconds=elapsed,
-                        worker=worker, attempts=attempt + 1, extras=extras,
-                    )
-            if outcome.status == "ok":
-                journal.emit(
-                    "unit_finish", attempt=attempt,
-                    **_finish_fields(outcome), **info,
-                )
-                break
-            if attempt < retries:
-                registry.counter("battery.units.retried").inc()
-                journal.emit(
-                    "unit_retry", attempt=attempt, status=outcome.status, **info
-                )
-            else:
-                journal.emit(
-                    "unit_fail", status=outcome.status, attempts=outcome.attempts,
-                    error=outcome.error, **info,
-                )
-        outcomes.append(outcome)
-    return outcomes
 
 
 def _worker_checkin() -> int:
@@ -828,7 +773,9 @@ class WorkerPool:
     the serving layer) across requests for the life of the service.
 
     * :meth:`run` is the containment loop: the battery runs each wave
-      through it and :class:`repro.serve.ServeDispatcher` each unit.
+      through it at every ``jobs`` (jobs=1 on the in-process
+      :class:`_InlinePool`) and :class:`repro.serve.ServeDispatcher` each
+      unit.
     * :meth:`submit` hands one task dict to a worker and returns its
       future.
     * :meth:`prewarm` builds the executor and blocks until every worker
@@ -901,18 +848,23 @@ class WorkerPool:
         returns one :class:`UnitOutcome` per task, in order.
 
         Every unit is submitted individually; an exception raised in a
-        worker costs only its own unit, a unit that overruns *timeout* is
-        abandoned (its worker finishes in the background), and a worker
-        process dying outright (:class:`BrokenExecutor`) charges the unit
-        being waited on and rebuilds the pool for the rest.  Failed or
-        timed-out attempts are re-submitted up to *retries* times before
-        the unit is declared dead; *journal* gets one ``unit_*`` event per
-        start, finish, retry and failure.
+        unit costs only its own unit, and a worker process dying outright
+        (:class:`BrokenExecutor`) charges the unit being waited on and
+        rebuilds the pool for the rest.  One timeout rule holds at every
+        ``jobs``: a unit whose own ``seconds`` exceed *timeout* is charged
+        a timeout once its result arrives, and a process pool also stops
+        waiting on a unit *timeout* seconds into its wait, abandoning it
+        (its worker finishes in the background).  Failed or timed-out
+        attempts are re-submitted after the rest of their round, up to
+        *retries* times, before the unit is declared dead.  *journal*
+        gets, per attempt, one ``unit_start`` at submission and then one
+        ``unit_finish``, ``unit_retry`` or ``unit_fail``.
 
-        A healthy pool survives retry rounds — only a broken or hung pool
-        is abandoned and rebuilt.  *on_rebuild* — when given — runs after
-        each abandonment before the replacement is built; the shared
-        transport reaps orphaned snapshot staging directories there.
+        A healthy pool survives retry rounds and late overruns — only a
+        broken or hung pool is abandoned and rebuilt.  *on_rebuild* — when
+        given — runs after each abandonment before the replacement is
+        built; the shared transport reaps orphaned snapshot staging
+        directories there.
         """
         log = resolve_journal(journal)
         registry = get_registry()
@@ -950,18 +902,7 @@ class WorkerPool:
             for index, future in futures.items():
                 waited = time.perf_counter()
                 try:
-                    values, timings, gen_seconds, worker, extras = future.result(
-                        timeout=timeout
-                    )
-                except FuturesTimeout:
-                    future.cancel()
-                    hung = True
-                    charge(
-                        index, "timeout",
-                        f"TimeoutError: unit did not finish within the "
-                        f"{timeout}s per-unit timeout",
-                        timeout or 0.0,
-                    )
+                    outcome = future.result(timeout=timeout)
                 except BrokenExecutor as exc:
                     # A worker died without raising (segfault, OOM-kill,
                     # os._exit): the whole pool is unusable.  Attribution
@@ -978,19 +919,36 @@ class WorkerPool:
                     broken = True
                     break
                 except Exception as exc:
-                    charge(
-                        index, "failed", _format_exception(exc),
-                        time.perf_counter() - waited,
-                    )
+                    # The wait ran out only if the future is still running:
+                    # a unit that raised TimeoutError itself is done, and
+                    # fails like any other exception.
+                    if isinstance(exc, FuturesTimeout) and not future.done():
+                        future.cancel()
+                        hung = True
+                        charge(
+                            index, "timeout",
+                            f"TimeoutError: unit did not finish within the "
+                            f"{timeout}s per-unit timeout",
+                            timeout,
+                        )
+                    else:
+                        charge(
+                            index, "failed", _format_exception(exc),
+                            time.perf_counter() - waited,
+                        )
                 else:
-                    seconds = gen_seconds + sum(timings.values())
-                    outcome = UnitOutcome(
-                        "ok", values=values, timings=timings,
-                        gen_seconds=gen_seconds, seconds=seconds,
-                        worker=worker, attempts=pending[index] + 1, extras=extras,
-                    )
+                    if timeout is not None and outcome.seconds > timeout:
+                        # Its result arrived (its wait began late, or it
+                        # ran inline), but the unit itself overran.
+                        charge(
+                            index, "timeout",
+                            f"TimeoutError: unit took {outcome.seconds:.3f}s, "
+                            f"exceeding the {timeout}s per-unit timeout",
+                            outcome.seconds,
+                        )
+                        continue
+                    outcome = replace(outcome, attempts=pending.pop(index) + 1)
                     outcomes[index] = outcome
-                    del pending[index]
                     log.emit(
                         "unit_finish", **_finish_fields(outcome),
                         **tasks[index]["unit"],
@@ -1025,6 +983,35 @@ class WorkerPool:
             executor.shutdown(wait=wait, cancel_futures=True)
 
 
+class _InlineFuture:
+    """A unit submitted to :class:`_InlinePool`: it runs in the calling
+    process when :meth:`WorkerPool.run` waits on it, so each unit's
+    ``unit_finish`` is journaled as it ends."""
+
+    def __init__(self, task: Dict[str, Any]):
+        self.task = task
+
+    def result(self, timeout: Optional[float] = None) -> UnitOutcome:
+        return _battery_task(self.task)
+
+    def done(self) -> bool:
+        # Only asked after result() has run the unit.
+        return True
+
+
+class _InlinePool(WorkerPool):
+    """The jobs=1 pool: :meth:`WorkerPool.run`'s loop over units run in
+    the calling process.  Nothing is pickled, so generators that cannot
+    be pickled still run.  No executor is ever built, so :meth:`rebuild`
+    and :meth:`shutdown` have nothing to release."""
+
+    def submit(self, task: Dict[str, Any]) -> _InlineFuture:
+        return _InlineFuture(task)
+
+    def prewarm(self) -> int:
+        return 0
+
+
 def run_battery(
     models,
     n: int,
@@ -1048,14 +1035,16 @@ def run_battery(
 
     *models* may be a mapping label → generator/name, a sequence of
     generators or registry names, or a single one of either.  *jobs* > 1
-    fans the work units out over a process pool; *cache* (a directory path
+    fans the work units out over a process pool; at *jobs* = 1 the same
+    containment loop (:meth:`WorkerPool.run`) runs each unit in this
+    process, so generators need not pickle; *cache* (a directory path
     or :class:`ResultCache`) makes every cell content-addressed and
     reusable across runs.  Results are bit-identical for any *jobs* value
     and for warm vs. cold cache — the per-unit seed depends only on the
     model identity, its parameters, *n*, *base_seed*, and the replicate
     index.
 
-    Failures are contained, not fatal: a unit that raises, exceeds
+    Failures are contained, not fatal: a unit that raises, runs past
     *timeout* seconds, or loses its worker process is retried up to
     *retries* times and then recorded as a failed :class:`UnitRecord`
     (see :attr:`BatteryResult.failures`); its replicate's summary becomes
@@ -1142,10 +1131,11 @@ def run_battery(
         # ephemeral tmpfs otherwise.
         spool = cell_spool(store) if transport_used == "shared" else None
 
-        # One warm pool for the whole run: both waves (and every retry
-        # round) reuse the same worker processes, so the per-process
-        # transport attach caches stay hot across waves.
-        pool = WorkerPool(jobs, mp_ctx) if jobs > 1 else None
+        # One pool for the whole run: at jobs > 1 both waves (and every
+        # retry round) reuse the same warm worker processes, so the
+        # per-process transport attach caches stay hot across waves; at
+        # jobs=1 the same loop runs each unit in this process.
+        pool = WorkerPool(jobs, mp_ctx) if jobs > 1 else _InlinePool(jobs)
         records: List[UnitRecord] = []
 
         def record(plan: CellPlan, group: str, seconds: float, cached=False, **fields):
@@ -1156,14 +1146,10 @@ def run_battery(
             """Run (plan, task) units with containment, then take every
             outcome down the one path that records, counts, adopts and
             writes."""
-            tasks = [task for _, task in units]
-            if pool is not None:
-                outcomes = pool.run(
-                    tasks, timeout, retries, log,
-                    on_rebuild=spool.reap_staging if spool is not None else None,
-                )
-            else:
-                outcomes = _run_serial(tasks, timeout, retries, log)
+            outcomes = pool.run(
+                [task for _, task in units], timeout, retries, log,
+                on_rebuild=spool.reap_staging if spool is not None else None,
+            )
             for (plan, task), outcome in zip(units, outcomes):
                 extras = outcome.extras or {}
                 if trc.enabled and extras.get("spans"):
@@ -1254,8 +1240,7 @@ def run_battery(
                     if plan.pending:
                         spool.release(plan.gen_key)
         finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+            pool.shutdown(wait=True)
             if spool is not None:
                 spool.cleanup()
 

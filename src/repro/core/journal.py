@@ -23,7 +23,9 @@ subsequent event carries it.  :meth:`RunJournal.read` still returns the
 flat event list; :meth:`RunJournal.read_runs` groups it back into one
 event list per run (``repro journal summarize`` reports per run).
 
-Event vocabulary used by :mod:`repro.core.battery` (emitters may add more):
+Event vocabulary used by :mod:`repro.core.battery` (emitters may add more).
+Each attempt of a unit gets one ``unit_start``, then one ``unit_finish``,
+``unit_retry`` or ``unit_fail``, with the same fields at every ``jobs``:
 
 ====================  =====================================================
 event                 meaning
@@ -31,9 +33,11 @@ event                 meaning
 ``battery_start``     one :func:`run_battery` call began (models, n, seeds,
                       jobs, groups, timeout, retries)
 ``cache_hit``         a (unit, group) cell was served from the cache
-``unit_start``        a work unit was submitted/started (attempt number)
-``unit_finish``       a unit completed (duration, worker pid, per-group
-                      seconds, peak RSS, CPU seconds)
+``unit_start``        an attempt of a work unit was submitted (attempt
+                      number, jobs)
+``unit_finish``       the attempt completed (attempt number, duration,
+                      worker pid, generation and per-group seconds, peak
+                      RSS, CPU seconds)
 ``unit_retry``        a failed/timed-out attempt will be retried
 ``unit_fail``         a unit exhausted its attempts (status, traceback)
 ``pool_broken``       a worker process died abruptly; the pool is rebuilt

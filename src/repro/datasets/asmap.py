@@ -41,15 +41,17 @@ __all__ = [
 #: Fixed seed for the frozen reference map (date of the emulated snapshot).
 REFERENCE_SEED = 20010515
 
-#: Statistics of the frozen reference at n=3000 (asserted in tests with the
-#: listed absolute tolerances; regenerate with tools in tests/datasets).
+#: Statistics of the frozen reference at n=3000, as (centre, absolute
+#: tolerance); tests assert the map stays inside each window.  The centres
+#: are the map's measured values, printed by
+#: ``summarize(reference_as_map(3000), seed=0)`` (``repro.core.metrics``).
 REFERENCE_EXPECTED: Dict[str, Tuple[float, float]] = {
-    "average_degree": (4.3, 0.8),
-    "degree_exponent": (2.1, 0.25),
-    "average_clustering": (0.25, 0.12),
-    "assortativity": (-0.24, 0.12),
-    "average_path_length": (3.6, 0.7),
-    "degeneracy": (11.0, 6.0),
+    "average_degree": (4.781, 0.8),
+    "degree_exponent": (2.037, 0.25),
+    "average_clustering": (0.208, 0.12),
+    "assortativity": (-0.250, 0.12),
+    "average_path_length": (3.048, 0.7),
+    "degeneracy": (17.0, 6.0),
 }
 
 #: Published measurements of the real 2001 AS(+) maps, used as the external

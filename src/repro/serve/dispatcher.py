@@ -112,7 +112,10 @@ class ServeDispatcher:
     Parameters
     ----------
     jobs:
-        Warm worker-pool size (processes, spawned once at startup).
+        Warm worker-pool size (processes, spawned once at startup).  Even
+        at ``jobs=1`` units run in a worker process, never inline as a
+        jobs=1 battery's do: a hung unit stays abandonable, and no unit
+        competes with the HTTP threads for the GIL.
     root:
         Service state directory — result cache cells under ``cells/``,
         with the snapshot spool beside them under ``cells/snapshots/``

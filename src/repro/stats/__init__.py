@@ -32,7 +32,6 @@ from .powerlaw import (
 from .rng import BufferedUniforms, make_numpy_rng, make_rng, spawn_seed
 from .sampling import (
     AliasSampler,
-    CumulativeSampler,
     FenwickSampler,
     distinct_in_order,
     weighted_choice,
@@ -64,7 +63,6 @@ __all__ = [
     "spawn_seed",
     "BufferedUniforms",
     "AliasSampler",
-    "CumulativeSampler",
     "FenwickSampler",
     "weighted_choice",
     "distinct_in_order",

@@ -18,14 +18,11 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from .rng import SeedLike, make_rng
 
 __all__ = [
     "FenwickSampler",
     "AliasSampler",
-    "CumulativeSampler",
     "weighted_choice",
     "distinct_in_order",
 ]
@@ -188,154 +185,6 @@ class FenwickSampler:
             chosen.add(self.sample())
             tries += 1
         return sorted(chosen)
-
-
-class CumulativeSampler:
-    """Batch weighted sampler over a numpy weight array.
-
-    Batch growth kernels draw attachment targets in blocks: one
-    ``searchsorted`` over the cumulative weight array replaces thousands of
-    Fenwick descents.  The cumsum is rebuilt lazily after weight updates, so
-    the intended pattern is *update rarely, draw in batches* — e.g. rebuild
-    once per growth step, then draw all of that step's targets at once.
-
-    Draw semantics match :func:`weighted_choice` /
-    :class:`FenwickSampler.sample`: ``target = u * total`` with
-    ``u ~ U[0, 1)``, the selected index is the first whose cumulative weight
-    exceeds the target, and zero-weight items are never returned.
-    """
-
-    def __init__(self, weights=None, capacity: int = 0):
-        capacity = max(int(capacity), 8)
-        self._weights = np.zeros(capacity, dtype=np.float64)
-        self._size = 0
-        self._cum: Optional[np.ndarray] = None
-        if weights is not None:
-            arr = np.asarray(list(weights), dtype=np.float64)
-            if arr.size and float(arr.min()) < 0:
-                raise ValueError("weights must be non-negative")
-            self._ensure(arr.size)
-            self._weights[: arr.size] = arr
-            self._size = int(arr.size)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _ensure(self, size: int) -> None:
-        if size > self._weights.shape[0]:
-            grown = np.zeros(max(size, 2 * self._weights.shape[0]), dtype=np.float64)
-            grown[: self._size] = self._weights[: self._size]
-            self._weights = grown
-
-    def append(self, weight: float) -> int:
-        """Add a new item with *weight*; returns its index."""
-        if weight < 0:
-            raise ValueError(f"weight must be non-negative, got {weight}")
-        index = self._size
-        self._ensure(index + 1)
-        self._weights[index] = weight
-        self._size = index + 1
-        self._cum = None
-        return index
-
-    def add(self, index: int, delta: float) -> None:
-        """Increase item *index* by *delta* (may be negative)."""
-        if not 0 <= index < self._size:
-            raise IndexError(f"index {index} out of range")
-        new_weight = self._weights[index] + delta
-        if new_weight < -1e-9:
-            raise ValueError(
-                f"weight of item {index} would become negative ({new_weight})"
-            )
-        self._weights[index] = max(new_weight, 0.0)
-        self._cum = None
-
-    def add_many(self, indices, deltas) -> None:
-        """Apply ``weights[indices] += deltas`` in one shot.
-
-        Repeated indices accumulate (``np.add.at`` semantics), which is what
-        degree updates after a batch of edges need.
-        """
-        idx = np.asarray(indices, dtype=np.intp)
-        np.add.at(self._weights, idx, deltas)
-        self._cum = None
-
-    def weight(self, index: int) -> float:
-        """Current weight of item *index*."""
-        if not 0 <= index < self._size:
-            raise IndexError(f"index {index} out of range")
-        return float(self._weights[index])
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Live view of the first ``len(self)`` weights (do not mutate)."""
-        return self._weights[: self._size]
-
-    @property
-    def total(self) -> float:
-        """Sum of all weights currently in the sampler."""
-        return float(self._cumulative()[-1]) if self._size else 0.0
-
-    def _cumulative(self) -> np.ndarray:
-        if self._cum is None or self._cum.shape[0] != self._size:
-            self._cum = np.cumsum(self._weights[: self._size])
-        return self._cum
-
-    def draw(self, count: int, rng) -> np.ndarray:
-        """Draw *count* independent indices ∝ weight (with replacement).
-
-        *rng* is a :class:`numpy.random.Generator`; one ``rng.random(count)``
-        call feeds one ``searchsorted``, so a batch of draws consumes the
-        uniform stream exactly like *count* sequential scalar draws would
-        (numpy's generators are chunk-invariant).
-        """
-        cum = self._cumulative()
-        total = float(cum[-1]) if cum.size else 0.0
-        if total <= 0:
-            raise ValueError("cannot sample: total weight is zero")
-        targets = rng.random(count) * total
-        idx = np.searchsorted(cum, targets, side="right")
-        np.minimum(idx, self._size - 1, out=idx)
-        # Zero-weight items have zero-width cumsum intervals and are never
-        # selected by searchsorted except via the float edge clamped above.
-        if self._weights[idx].min() <= 0.0:
-            weights = self._weights
-            for k in np.nonzero(weights[idx] <= 0.0)[0]:
-                j = int(idx[k])
-                while weights[j] == 0.0 and j + 1 < self._size:
-                    j += 1
-                idx[k] = j
-        return idx
-
-    def draw_distinct(
-        self, count: int, rng, exclude=(), max_rounds: int = 64
-    ) -> np.ndarray:
-        """Draw *count* distinct indices ∝ weight, none in *exclude*.
-
-        Batch rejection: oversample a block, keep first occurrences, repeat
-        on the (rare) shortfall.  Matches the distribution of sequential
-        rejection sampling, not its draw order.
-        """
-        excluded = set(exclude)
-        weights = self._weights[: self._size]
-        available = int(np.count_nonzero(weights > 0.0)) - sum(
-            1 for j in excluded if 0 <= j < self._size and weights[j] > 0.0
-        )
-        if count > available:
-            raise ValueError(
-                f"cannot draw {count} distinct items from {available} with positive weight"
-            )
-        chosen: List[int] = []
-        seen = set(excluded)
-        for _ in range(max_rounds):
-            block = self.draw(max(2 * count, 16), rng)
-            for j in block.tolist():
-                if j not in seen:
-                    seen.add(j)
-                    chosen.append(j)
-                    if len(chosen) == count:
-                        return np.asarray(chosen, dtype=np.intp)
-        raise ValueError("rejection sampling failed to find distinct items")
 
 
 def distinct_in_order(draws, count: int, exclude=()) -> List[int]:

@@ -18,6 +18,7 @@ run's surviving cells).
 
 import math
 import time
+from collections import Counter
 
 import pytest
 
@@ -55,6 +56,18 @@ class CrashingGenerator(TopologyGenerator):
     def generate(self, n, seed=None):
         if seed in self._fail_seeds:
             raise RuntimeError(f"injected crash for seed {seed}")
+        return self._delegate.generate(n, seed=seed)
+
+
+class TimeoutRaisingGenerator(CrashingGenerator):
+    """Raises the builtin ``TimeoutError`` itself (as a socket or lock
+    wait inside a generator would) for the configured seeds."""
+
+    name = "timeout-raiser"
+
+    def generate(self, n, seed=None):
+        if seed in self._fail_seeds:
+            raise TimeoutError(f"injected TimeoutError for seed {seed}")
         return self._delegate.generate(n, seed=seed)
 
 
@@ -141,6 +154,14 @@ class TestCrashContainment:
         assert isinstance(summary, PartialSummary)
         assert summary.failed
         assert "injected crash" in summary.error
+
+    def test_keyboard_interrupt_is_not_contained(self):
+        class Interrupting(BarabasiAlbertGenerator):
+            def generate(self, n, seed=None):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_battery({"ba": Interrupting(m=2)}, n=N, seeds=1, jobs=1, **FAST)
 
     def test_survivors_identical_across_jobs(self):
         victim = unit_seed("crashy", 1)
@@ -237,6 +258,39 @@ class TestTimeout:
         # The other three units all completed.
         assert len(_full_summaries(result)) == 3
 
+    @pytest.mark.parametrize("jobs", [1, PARALLEL_JOBS])
+    def test_late_overrun_is_a_timeout_at_every_jobs(self, jobs):
+        # Both units start together at jobs > 1; the 2.0 s unit's result
+        # arrives 1.0 s into its own wait, so only its measured seconds
+        # show that it overran the 1.5 s limit.
+        seed = unit_seed("sleepy", 0)
+        roster = {
+            "short": SleepingGenerator(sleep_seeds=[seed], sleep_seconds=1.0),
+            "long": SleepingGenerator(sleep_seeds=[seed], sleep_seconds=2.0),
+        }
+        result = run_battery(
+            roster, n=N, seeds=1, base_seed=BASE_SEED, jobs=jobs,
+            timeout=1.5, **FAST,
+        )
+        (failure,) = result.failures
+        assert failure.model == "long"
+        assert failure.status == "timeout"
+        assert _full_summaries(result) == [("short", 0)]
+
+    @pytest.mark.parametrize("jobs", [1, PARALLEL_JOBS])
+    def test_unit_raising_timeout_error_fails_with_its_traceback(self, jobs):
+        # A TimeoutError raised by the unit is its own failure, not the
+        # pool's wait running out (the two are one class on Python 3.11+).
+        victim = unit_seed("timeout-raiser", 0)
+        result = run_battery(
+            {"timeout-raiser": TimeoutRaisingGenerator(fail_seeds=[victim])},
+            n=N, seeds=2, base_seed=BASE_SEED, jobs=jobs, **FAST,
+        )
+        (failure,) = result.failures
+        assert failure.status == "failed"
+        assert "injected TimeoutError" in failure.error
+        assert _full_summaries(result) == [("timeout-raiser", 1)]
+
     def test_generous_timeout_is_a_no_op(self):
         clean = run_battery(
             ["barabasi-albert"], n=N, seeds=1, timeout=120.0, **FAST
@@ -307,6 +361,45 @@ class TestJournal:
         assert all(e["seconds"] >= 0 for e in finishes)
         assert all("worker" in e for e in finishes)
         assert events[-1]["failures"] == 1
+
+    def test_unit_events_identical_across_jobs(self, tmp_path):
+        crashy = unit_seed("crashy", 0)
+        flaky = unit_seed("flaky-once", 0)
+
+        def unit_events(jobs):
+            journal = tmp_path / f"run-{jobs}.jsonl"
+            state = tmp_path / f"state-{jobs}"
+            state.mkdir()
+            run_battery(
+                {
+                    "crashy": CrashingGenerator(fail_seeds=[crashy]),
+                    "flaky-once": FlakyOnceGenerator(
+                        fail_seeds=[flaky], state_dir=state
+                    ),
+                },
+                n=N, seeds=1, base_seed=BASE_SEED, jobs=jobs, retries=1,
+                journal=journal, **FAST,
+            )
+            return [
+                e for e in RunJournal.read(journal)
+                if e["event"].startswith("unit_")
+            ]
+
+        finish_fields = {"attempt", "seconds", "worker", "gen_seconds", "groups"}
+        shape = ("event", "model", "replicate", "seed", "kind", "attempt", "status")
+        shapes = {}
+        for jobs in (1, PARALLEL_JOBS):
+            events = unit_events(jobs)
+            for event in events:
+                if event["event"] == "unit_finish":
+                    assert finish_fields <= set(event), (jobs, event)
+            shapes[jobs] = Counter(
+                tuple(event.get(key) for key in shape) for event in events
+            )
+        assert shapes[1] == shapes[PARALLEL_JOBS]
+        assert {shape[0] for shape in shapes[1]} == {
+            "unit_start", "unit_retry", "unit_fail", "unit_finish",
+        }
 
     def test_journal_records_cache_hits(self, tmp_path):
         journal = tmp_path / "run.jsonl"

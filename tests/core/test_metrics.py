@@ -102,8 +102,8 @@ class TestMeasureUnit:
         monkeypatch.setattr(CSRView, "from_graph", classmethod(refuse))
         monkeypatch.setattr(Graph, "__init__", refuse)
         try:
-            values, _, gen_seconds, _, _ = battery._battery_task(task)
+            outcome = battery._battery_task(task)
         finally:
             transport.clear_attach_cache()
-        assert gen_seconds == 0.0
-        assert values == expected
+        assert outcome.gen_seconds == 0.0
+        assert outcome.values == expected

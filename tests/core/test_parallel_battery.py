@@ -20,8 +20,8 @@ from repro.core import (
     run_battery,
 )
 
-#: Worker count for the parallel side of each identity check; the CI matrix
-#: exercises 1 and 2 explicitly via this variable.
+#: Worker count for the parallel side of each identity check; CI's
+#: battery-determinism and fault-tolerance jobs set it to 2.
 PARALLEL_JOBS = int(os.environ.get("REPRO_TEST_JOBS", "4"))
 
 MODELS = ["barabasi-albert", "glp", "erdos-renyi-gnm"]
@@ -179,6 +179,18 @@ class TestBatteryShape:
         assert len(metric_records) == len(MODELS) * SEEDS * len(METRIC_GROUPS)
         assert result.stats.misses == len(metric_records)  # NullCache: all miss
         assert result.failures == []
+
+    def test_jobs1_runs_generators_that_cannot_pickle(self):
+        # jobs=1 runs each unit in this process and pickles nothing.
+        from repro.generators.barabasi_albert import BarabasiAlbertGenerator
+
+        class LocalGenerator(BarabasiAlbertGenerator):
+            pass
+
+        local = run_battery({"ba": LocalGenerator(m=2)}, n=N, seeds=1, **FAST)
+        plain = run_battery({"ba": BarabasiAlbertGenerator(m=2)}, n=N, seeds=1, **FAST)
+        assert local.failures == []
+        _assert_identical(_metric_dicts(local), _metric_dicts(plain))
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):

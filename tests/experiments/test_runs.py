@@ -91,6 +91,11 @@ class TestSpectraExperiments:
     def test_f7(self):
         result = run_f7(n=300, seed=6, models=["barabasi-albert", "pfp"])
         assert "pfp_minus_ba_rho" in result.notes
+        # Clubs of a few hubs read exactly 1 in any model; the table
+        # averages over clubs large enough to tell models apart.
+        _, rows = result.tables["top-decile normalized rich club"]
+        assert [row[0] for row in rows] == ["reference", "barabasi-albert", "pfp"]
+        assert all(math.isfinite(row[1]) and row[1] != 1.0 for row in rows)
 
     def test_f8(self):
         result = run_f8(n=300, max_sources=80, seed=7, models=["waxman", "serrano"])

@@ -7,11 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import numpy as np
-
 from repro.stats.sampling import (
     AliasSampler,
-    CumulativeSampler,
     FenwickSampler,
     distinct_in_order,
     weighted_choice,
@@ -242,55 +239,6 @@ class TestFenwickBulkBuild:
     def test_bulk_build_rejects_negative(self):
         with pytest.raises(ValueError):
             FenwickSampler([1.0, -0.5])
-
-
-class TestCumulativeSampler:
-    def test_draw_distribution(self):
-        sampler = CumulativeSampler([1.0, 0.0, 3.0])
-        rng = np.random.default_rng(4)
-        draws = sampler.draw(4000, rng)
-        counts = np.bincount(draws, minlength=3)
-        assert counts[1] == 0
-        assert counts[2] / counts[0] == pytest.approx(3.0, rel=0.2)
-
-    def test_draw_matches_scalar_stream(self):
-        # One batched searchsorted must consume uniforms exactly like
-        # sequential scalar draws (numpy generators are chunk-invariant).
-        weights = [0.5, 2.0, 1.5, 0.0, 4.0]
-        sampler = CumulativeSampler(weights)
-        batched = sampler.draw(64, np.random.default_rng(11)).tolist()
-        rng = np.random.default_rng(11)
-        scalar = [int(sampler.draw(1, rng)[0]) for _ in range(64)]
-        assert batched == scalar
-
-    def test_append_and_add_many(self):
-        sampler = CumulativeSampler()
-        for w in (1.0, 2.0):
-            sampler.append(w)
-        sampler.add_many([0, 0, 1], [1.0, 1.0, 3.0])
-        assert sampler.weight(0) == pytest.approx(3.0)
-        assert sampler.weight(1) == pytest.approx(5.0)
-        assert sampler.total == pytest.approx(8.0)
-
-    def test_draw_distinct_excludes(self):
-        sampler = CumulativeSampler([1.0, 1.0, 1.0, 1.0])
-        rng = np.random.default_rng(0)
-        chosen = sampler.draw_distinct(3, rng, exclude=(2,)).tolist()
-        assert len(set(chosen)) == 3 and 2 not in chosen
-
-    def test_draw_distinct_infeasible(self):
-        sampler = CumulativeSampler([1.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            sampler.draw_distinct(3, np.random.default_rng(0))
-
-    def test_zero_total_rejected(self):
-        sampler = CumulativeSampler([0.0, 0.0])
-        with pytest.raises(ValueError):
-            sampler.draw(1, np.random.default_rng(0))
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            CumulativeSampler([1.0, -1.0])
 
 
 class TestDistinctInOrder:
