@@ -772,10 +772,12 @@ class WorkerPool:
     is paid once and reused across battery waves, retry rounds, and (in
     the serving layer) across requests for the life of the service.
 
-    * :meth:`run` is the containment loop: the battery runs each wave
-      through it at every ``jobs`` (jobs=1 on the in-process
-      :class:`_InlinePool`) and :class:`repro.serve.ServeDispatcher` each
-      unit.
+    * :meth:`run` is the containment loop, and the only place in the
+      package that runs work in processes: the battery runs each wave
+      and :func:`repro.core.calibrate.grid_calibrate` its grid through it
+      at every ``jobs`` (jobs=1 on the in-process :class:`_InlinePool`,
+      see :func:`pool_for`), and :class:`repro.serve.ServeDispatcher`
+      each unit.
     * :meth:`submit` hands one task dict to a worker and returns its
       future.
     * :meth:`prewarm` builds the executor and blocks until every worker
@@ -786,14 +788,17 @@ class WorkerPool:
     * :meth:`shutdown` releases the workers (idempotent).
 
     The handle itself is thread-safe for submits; result collection is
-    the caller's business (futures are independent).
+    the caller's business (futures are independent).  *mp_context* is a
+    start-method name or context object, resolved by
+    :func:`~repro.core.transport.resolve_mp_context` (env
+    ``REPRO_MP_START``, else the platform default).
     """
 
     def __init__(self, jobs: int, mp_context=None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.mp_context = mp_context
+        self.mp_context = resolve_mp_context(mp_context)
         self._executor: Optional[ProcessPoolExecutor] = None
         self._lock = threading.RLock()
         self.rebuilds = 0
@@ -1012,6 +1017,12 @@ class _InlinePool(WorkerPool):
         return 0
 
 
+def pool_for(jobs: int, mp_context=None) -> WorkerPool:
+    """The pool a batch run uses at *jobs*: *jobs* worker processes, or at
+    jobs=1 the in-process :class:`_InlinePool`."""
+    return (WorkerPool if jobs > 1 else _InlinePool)(jobs, mp_context)
+
+
 def run_battery(
     models,
     n: int,
@@ -1094,7 +1105,11 @@ def run_battery(
         )
     store = _resolve_cache(cache)
     transport_used = resolve_transport(transport, n, len(group_names))
-    mp_ctx = resolve_mp_context(mp_context)
+    # One pool for the whole run: at jobs > 1 both waves (and every retry
+    # round) reuse the same warm worker processes, so the per-process
+    # transport attach caches stay hot across waves; at jobs=1 the same
+    # loop runs each unit in this process.  Nothing starts until a submit.
+    pool = pool_for(jobs, mp_context)
     stats_before = store.stats.snapshot()
     registry = get_registry()
     registry_before = registry.snapshot()
@@ -1130,12 +1145,6 @@ def run_battery(
         # directory (so later runs attach instead of regenerating),
         # ephemeral tmpfs otherwise.
         spool = cell_spool(store) if transport_used == "shared" else None
-
-        # One pool for the whole run: at jobs > 1 both waves (and every
-        # retry round) reuse the same warm worker processes, so the
-        # per-process transport attach caches stay hot across waves; at
-        # jobs=1 the same loop runs each unit in this process.
-        pool = WorkerPool(jobs, mp_ctx) if jobs > 1 else _InlinePool(jobs)
         records: List[UnitRecord] = []
 
         def record(plan: CellPlan, group: str, seconds: float, cached=False, **fields):

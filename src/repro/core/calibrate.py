@@ -4,23 +4,25 @@ The "make a living" test for a model: can its parameters be tuned so the
 full metric battery matches an observed map?  :func:`grid_calibrate` does
 the honest version — exhaustive grid search with seed-averaged scores —
 which is what the original generator papers did (GLP's published
-parameters, for example, came from exactly this kind of fit).
+parameters, for example, came from exactly this kind of fit).  Every
+topology it scores takes the battery's cell pipeline (:func:`plan_cells`
+→ :func:`unit_task` → :meth:`WorkerPool.run` → :func:`settle_unit`), so
+one failing topology costs its grid point alone, at any ``jobs``.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from ..generators.base import TopologyGenerator
-from ..obs.metrics import MetricsRegistry, get_registry, set_registry
-from ..obs.tracer import Tracer, get_tracer, set_tracer
-from .compare import ComparisonResult, compare_summaries
+from ..obs.tracer import get_tracer
+from .battery import SUMMARIZE_DEFAULTS, plan_cells, pool_for, settle_unit, unit_task
+from .cache import NullCache
+from .compare import compare_summaries
 from .experiment import seed_sequence
-from .metrics import TopologySummary, summarize
-from .transport import resolve_mp_context
+from .metrics import METRIC_GROUPS, TopologySummary
 
 __all__ = ["CalibrationResult", "grid_calibrate"]
 
@@ -38,47 +40,6 @@ class CalibrationResult:
         return sorted(self.trials, key=lambda pair: pair[1])[:count]
 
 
-def _score_grid_point(spec):
-    """Score one parameter point (module-level so it pickles to workers).
-
-    Returns ``(outcome, obs_payload)`` where *outcome* is ``(params,
-    mean score)`` — or ``None`` when the point's generator raises; the
-    skip decision is made where the exception happens, so parallel and
-    serial grids skip exactly the same points.  Like the battery's worker
-    kernel, a fresh ambient tracer and metrics registry are installed for
-    the point's duration and drained into the payload, so traced
-    calibrations keep their ``calibration.point`` span trees (and metric
-    counters) instead of silently dropping everything that happened in a
-    worker process.
-    """
-    generator_factory, params, target, n, seeds, base_seed, trace = spec
-    tracer = Tracer(enabled=bool(trace))
-    registry = MetricsRegistry()
-    prev_tracer = set_tracer(tracer)
-    prev_registry = set_registry(registry)
-    outcome: Optional[Tuple[Dict[str, Any], float]] = None
-    try:
-        with tracer.span("calibration.point", params=dict(params), n=n):
-            try:
-                generator = generator_factory(**params)
-                scores = []
-                for seed in seed_sequence(base_seed, seeds):
-                    graph = generator.generate(n, seed=seed)
-                    result = compare_summaries(summarize(graph, seed=seed), target)
-                    scores.append(result.score)
-                outcome = (params, sum(scores) / len(scores))
-            except (ValueError, RuntimeError):
-                outcome = None
-    finally:
-        set_tracer(prev_tracer)
-        set_registry(prev_registry)
-    payload = {
-        "spans": [span.as_dict() for span in tracer.drain()],
-        "metrics": registry.snapshot(),
-    }
-    return outcome, payload
-
-
 def grid_calibrate(
     generator_factory: Callable[..., TopologyGenerator],
     param_grid: Mapping[str, Sequence[Any]],
@@ -91,52 +52,74 @@ def grid_calibrate(
 ) -> CalibrationResult:
     """Exhaustive grid search minimizing the comparison score vs *target*.
 
-    *generator_factory* is called with one keyword per grid axis; each
-    parameter point is scored as the mean comparison score over *seeds*
-    independent topologies of size *n*.  Parameter points whose generator
-    raises (invalid combinations) are skipped — a fully failing grid raises.
-    *jobs* > 1 scores grid points in parallel processes (bit-identical
-    trials in the same order; *generator_factory* must then be picklable),
-    built from the explicit *mp_context* (a start-method name or context
-    object, env ``REPRO_MP_START``; see
-    :func:`repro.core.transport.resolve_mp_context`).  Each point runs
-    under a fresh ambient tracer/registry whose spans and counters are
-    re-adopted here, so traced calibrations see every worker's
-    ``calibration.point`` subtree.
+    *generator_factory* is called here, with one keyword per grid axis; a
+    point whose factory raises ``ValueError``/``RuntimeError`` (an invalid
+    combination) is skipped.  Each other point is scored as the mean
+    comparison score over *seeds* independent topologies of size *n*,
+    each one ``full`` battery unit run by
+    :meth:`~repro.core.battery.WorkerPool.run`: in this process at *jobs*
+    = 1, else on *jobs* worker processes started by *mp_context* (env
+    ``REPRO_MP_START``).  Only the generators are pickled, never the
+    factory, and the transport does not apply.  A unit that raises skips
+    its point (a dead worker is charged, as in the battery, to the unit
+    being waited on); a grid with no point left raises.
+    Trials are bit-identical in the same order at every *jobs*.  Traced
+    calibrations adopt every unit's span tree under ``calibrate``.
     """
     if not param_grid:
         raise ValueError("param_grid must have at least one axis")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     trc = get_tracer()
-    registry = get_registry()
     axes = sorted(param_grid)
-    specs = [
-        (
-            generator_factory, dict(zip(axes, combo)), target, n, seeds,
-            base_seed, trc.enabled,
-        )
-        for combo in itertools.product(*(param_grid[a] for a in axes))
-    ]
-    with trc.span("calibrate", points=len(specs), n=n, jobs=jobs) as cal_span:
-        if jobs == 1 or len(specs) <= 1:
-            raw = [_score_grid_point(spec) for spec in specs]
-        else:
-            context = resolve_mp_context(mp_context)
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-                raw = list(pool.map(_score_grid_point, specs))
-        outcomes = []
-        for outcome, payload in raw:
-            if payload.get("metrics"):
-                registry.merge(payload["metrics"])
-            if trc.enabled and payload.get("spans"):
-                trc.adopt(payload["spans"], parent=cal_span)
-            outcomes.append(outcome)
-    trials: List[Tuple[Dict[str, Any], float]] = [
-        outcome for outcome in outcomes if outcome is not None
-    ]
+    combos = list(itertools.product(*(param_grid[a] for a in axes)))
+    with trc.span("calibrate", points=len(combos), n=n, jobs=jobs) as cal_span:
+        points = []
+        for combo in combos:
+            params = dict(zip(axes, combo))
+            try:
+                generator = generator_factory(**params)
+            except (ValueError, RuntimeError):
+                continue
+            point_plans = [
+                plan_cells(
+                    generator, n, seed, METRIC_GROUPS, SUMMARIZE_DEFAULTS,
+                    label=generator.describe(),
+                )
+                for seed in seed_sequence(base_seed, seeds)
+            ]
+            points.append((params, point_plans))
+        plans = [plan for _, point_plans in points for plan in point_plans]
+        tasks = [
+            unit_task(plan, tuple(METRIC_GROUPS), SUMMARIZE_DEFAULTS, trace=trc.enabled)
+            for plan in plans
+        ]
+        pool = pool_for(jobs, mp_context)
+        try:
+            outcomes = pool.run(tasks)
+        finally:
+            pool.shutdown()
+        cache = NullCache()
+        for plan, outcome in zip(plans, outcomes):
+            spans = (outcome.extras or {}).get("spans")
+            if trc.enabled and spans:
+                trc.adopt(spans, parent=cal_span)
+            settle_unit(plan, outcome, cache)
+    trials: List[Tuple[Dict[str, Any], float]] = []
+    for params, point_plans in points:
+        if any(plan.error for plan in point_plans):
+            continue
+        scores = [
+            compare_summaries(
+                TopologySummary.from_dict(plan.label, plan.merged()), target
+            ).score
+            for plan in point_plans
+        ]
+        trials.append((params, sum(scores) / len(scores)))
     if not trials:
-        raise ValueError("every grid point failed to generate")
+        errors = [plan.error for plan in plans if plan.error]
+        detail = f": {errors[0].strip().splitlines()[-1]}" if errors else ""
+        raise ValueError(f"every grid point failed to generate{detail}")
     best_params, best_score = min(trials, key=lambda pair: pair[1])
     return CalibrationResult(
         best_params=dict(best_params),

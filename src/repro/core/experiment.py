@@ -10,13 +10,11 @@ experiment reproduces it bit-for-bit).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Generic, List, Sequence, Tuple, TypeVar
+from typing import Callable, Generic, List, Sequence, Tuple, TypeVar
 
 from ..generators.base import TopologyGenerator
 from ..graph.graph import Graph
-from .transport import resolve_mp_context
 
 __all__ = ["Replicates", "replicate", "sweep_sizes", "seed_sequence"]
 
@@ -60,50 +58,21 @@ class Replicates(Generic[T]):
         return f"{self.mean:.4g} ± {self.std:.2g} (n={len(self.values)})"
 
 
-def _measure_unit(unit) -> float:
-    """One (generate, measure) cell — module-level so it pickles to workers."""
-    generator, n, metric, seed = unit
-    return float(metric(generator.generate(n, seed=seed)))
-
-
-def _run_units(units: List[Tuple], jobs: int, mp_context=None) -> List[float]:
-    """Run measurement units inline (jobs=1) or over a process pool.
-
-    Unit order is preserved either way, and every unit's seed is fixed
-    before dispatch, so results are identical at any *jobs* value.  With
-    ``jobs > 1`` the generator and metric must be picklable (module-level
-    functions, not lambdas), and the pool is built from the explicit
-    *mp_context* (see :func:`repro.core.transport.resolve_mp_context`) so
-    behavior is pinned across fork/spawn/forkserver hosts.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs == 1 or len(units) <= 1:
-        return [_measure_unit(unit) for unit in units]
-    context = resolve_mp_context(mp_context)
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-        return list(pool.map(_measure_unit, units))
-
-
 def replicate(
     generator: TopologyGenerator,
     n: int,
     metric: Callable[[Graph], float],
     seeds: int = 5,
     base_seed: int = 1,
-    jobs: int = 1,
-    mp_context=None,
 ) -> Replicates:
-    """Measure *metric* on *seeds* independent topologies of size *n*.
-
-    *jobs* > 1 computes replicates in parallel processes (bit-identical to
-    the serial run; *metric* must then be picklable; *mp_context* pins the
-    pool's start method).
-    """
-    units = [
-        (generator, n, metric, seed) for seed in seed_sequence(base_seed, seeds)
-    ]
-    return Replicates(values=tuple(_run_units(units, jobs, mp_context)))
+    """Measure *metric* on *seeds* independent topologies of size *n*, in
+    this process."""
+    return Replicates(
+        values=tuple(
+            float(metric(generator.generate(n, seed=seed)))
+            for seed in seed_sequence(base_seed, seeds)
+        )
+    )
 
 
 def sweep_sizes(
@@ -112,24 +81,13 @@ def sweep_sizes(
     metric: Callable[[Graph], float],
     seeds: int = 3,
     base_seed: int = 1,
-    jobs: int = 1,
-    mp_context=None,
 ) -> List[Tuple[int, Replicates]]:
     """Measure *metric* across *sizes*, each averaged over *seeds*.
 
     Returns (size, replicates) pairs in the order given — feed the means to
-    :func:`repro.stats.fit_power_scaling` for scaling exponents.  *jobs*
-    parallelizes over every (size, seed) cell at once, not size-by-size, so
-    small sweep tails don't leave workers idle; *mp_context* pins the
-    pool's start method.
+    :func:`repro.stats.fit_power_scaling` for scaling exponents.  Size *n*
+    is replicated from base seed ``base_seed + n``.
     """
-    units = []
-    for n in sizes:
-        for seed in seed_sequence(base_seed + n, seeds):
-            units.append((generator, n, metric, seed))
-    values = _run_units(units, jobs, mp_context)
-    out = []
-    for index, n in enumerate(sizes):
-        chunk = values[index * seeds : (index + 1) * seeds]
-        out.append((n, Replicates(values=tuple(chunk))))
-    return out
+    return [
+        (n, replicate(generator, n, metric, seeds, base_seed + n)) for n in sizes
+    ]

@@ -34,10 +34,11 @@ least :data:`AUTO_SHARED_GROUPS` metric groups ride on each replicate
 bit-identical battery results and identical cache cells.
 
 :func:`resolve_mp_context` is the companion knob for the worker pools
-themselves: every ``ProcessPoolExecutor`` in the battery, experiment,
-and calibration layers receives an explicit multiprocessing context, so
-pools (and the transport riding on them) behave identically under
-``fork``, ``spawn``, and ``forkserver`` start methods.
+themselves: :class:`repro.core.battery.WorkerPool`, the one executor
+behind the battery, calibration and the service, resolves an explicit
+multiprocessing context when it is built, so pools (and the transport
+riding on them) behave identically under ``fork``, ``spawn``, and
+``forkserver`` start methods.
 """
 
 from __future__ import annotations
@@ -96,9 +97,10 @@ REPRO_TRANSPORT_ENV = "REPRO_TRANSPORT"
 #: else the system temp dir).
 REPRO_TRANSPORT_DIR_ENV = "REPRO_TRANSPORT_DIR"
 
-#: Multiprocessing start method for every battery/experiment/calibration
-#: pool (values: ``fork``, ``spawn``, ``forkserver``); empty means the
-#: platform default.  Explicit ``mp_context`` arguments win.
+#: Multiprocessing start method of every worker pool (battery,
+#: calibration, service; values: ``fork``, ``spawn``, ``forkserver``);
+#: empty means the platform default.  Explicit ``mp_context`` arguments
+#: win.
 REPRO_MP_START_ENV = "REPRO_MP_START"
 
 
@@ -138,10 +140,10 @@ def resolve_mp_context(context=None):
     *context* may be a context object (returned as-is), a start-method
     name (``"fork"`` / ``"spawn"`` / ``"forkserver"``), or ``None`` —
     which consults the ``REPRO_MP_START`` environment variable and falls
-    back to the platform default.  Passing the result into every
-    ``ProcessPoolExecutor`` pins the start method explicitly, so a host
-    that changes its default (or a CI job forcing ``spawn``) runs the
-    same pools the tests exercised.
+    back to the platform default.  :class:`~repro.core.battery.WorkerPool`
+    builds its executor from the result, so a host that changes its
+    default (or a CI job forcing ``spawn``) runs the same pools the tests
+    exercised.
     """
     if context is None:
         context = os.environ.get(REPRO_MP_START_ENV, "").strip().lower() or None

@@ -65,7 +65,7 @@ from ..core.compare import compare_summaries
 from ..core.journal import resolve_journal
 from ..core.metrics import ALL_METRIC_GROUPS, METRIC_GROUPS, TopologySummary
 from ..core.registry import make_generator
-from ..core.transport import handle_for_snapshot, resolve_mp_context
+from ..core.transport import handle_for_snapshot
 from ..obs.metrics import get_registry
 from ..obs.tracer import get_tracer
 from ..store.sqlite import StoreError
@@ -165,7 +165,7 @@ class ServeDispatcher:
         self.worlds_dir.mkdir(parents=True, exist_ok=True)
         self.unit_timeout = unit_timeout
         self.retries = retries
-        self.pool = WorkerPool(jobs, resolve_mp_context(mp_context))
+        self.pool = WorkerPool(jobs, mp_context)
         self.journal = resolve_journal(journal)
         self.run_id = self.journal.begin_run(
             {"serve": True, "jobs": jobs, "root": str(self.root)}

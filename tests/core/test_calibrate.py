@@ -5,6 +5,18 @@ import pytest
 from repro.core import grid_calibrate, summarize
 from repro.generators import BarabasiAlbertGenerator, ErdosRenyiGnm
 
+from .test_parallel_battery import PARALLEL_JOBS
+
+
+class BrokenAtThreeGenerator(BarabasiAlbertGenerator):
+    """BA that raises a ``ZeroDivisionError`` (not a ``ValueError``) at
+    m=3; module-level so it pickles to workers."""
+
+    def generate(self, n, seed=None):
+        if self.m == 3:
+            raise ZeroDivisionError("injected failure at m=3")
+        return super().generate(n, seed=seed)
+
 
 class TestGridCalibrate:
     def test_recovers_edge_density(self):
@@ -69,3 +81,36 @@ class TestGridCalibrate:
         target = summarize(BarabasiAlbertGenerator(m=2).generate(150, seed=6))
         with pytest.raises(ValueError):
             grid_calibrate(lambda: None, {}, target, n=150)
+
+
+class TestContainment:
+    @pytest.mark.parametrize("jobs", [1, PARALLEL_JOBS])
+    def test_raising_point_costs_only_itself(self, jobs):
+        target = summarize(BarabasiAlbertGenerator(m=2).generate(150, seed=7))
+        kept = grid_calibrate(
+            BrokenAtThreeGenerator, {"m": [1, 2]}, target, n=150, seeds=2
+        )
+        result = grid_calibrate(
+            BrokenAtThreeGenerator, {"m": [1, 2, 3]}, target, n=150, seeds=2,
+            jobs=jobs,
+        )
+        assert result.trials == kept.trials
+        assert result.best_params == {"m": 2}
+
+    def test_failing_units_name_their_error(self):
+        target = summarize(BarabasiAlbertGenerator(m=2).generate(150, seed=7))
+        with pytest.raises(ValueError, match="injected failure at m=3"):
+            grid_calibrate(BrokenAtThreeGenerator, {"m": [3]}, target, n=150)
+
+    def test_lambda_factory_runs_in_parallel(self):
+        target = summarize(BarabasiAlbertGenerator(m=2).generate(150, seed=8))
+        grid = {"m": [1, 2, 3]}
+        serial = grid_calibrate(
+            lambda m: BarabasiAlbertGenerator(m=m), grid, target, n=150, seeds=2
+        )
+        parallel = grid_calibrate(
+            lambda m: BarabasiAlbertGenerator(m=m), grid, target, n=150, seeds=2,
+            jobs=PARALLEL_JOBS,
+        )
+        assert parallel.trials == serial.trials
+        assert parallel.best_params == serial.best_params

@@ -342,7 +342,7 @@ class TestJournal:
     def test_journal_records_failure_with_seed_and_traceback(self, tmp_path, jobs):
         victim = unit_seed("crashy", 1)
         journal = tmp_path / "run.jsonl"
-        run_battery(
+        result = run_battery(
             _mixed_roster(CrashingGenerator(fail_seeds=[victim])),
             n=N, seeds=SEEDS, base_seed=BASE_SEED, jobs=jobs,
             journal=journal, **FAST,
@@ -357,7 +357,14 @@ class TestJournal:
         assert fails[0]["seed"] == victim
         assert "injected crash" in fails[0]["error"]
         finishes = [e for e in events if e["event"] == "unit_finish"]
-        assert len(finishes) == 8
+        # The 8 surviving replicates: one full unit each, or under the
+        # shared transport one generate unit plus one measure unit per group.
+        expected = (
+            {"generate": 8, "measure": 8 * len(METRIC_GROUPS)}
+            if result.transport == "shared"
+            else {"full": 8}
+        )
+        assert Counter(e["kind"] for e in finishes) == expected
         assert all(e["seconds"] >= 0 for e in finishes)
         assert all("worker" in e for e in finishes)
         assert events[-1]["failures"] == 1

@@ -21,7 +21,7 @@ from repro.core import (
 )
 
 #: Worker count for the parallel side of each identity check; CI's
-#: battery-determinism and fault-tolerance jobs set it to 2.
+#: contracts job sets it to 2.
 PARALLEL_JOBS = int(os.environ.get("REPRO_TEST_JOBS", "4"))
 
 MODELS = ["barabasi-albert", "glp", "erdos-renyi-gnm"]
