@@ -8,9 +8,10 @@ measured — and checks the battery against the published values directly
 
 The out-of-core series grows a PLRG topology in checkpointed chunks into
 a :class:`repro.store.GraphStore`, then *in a fresh subprocess* reopens
-the mmap CSR snapshot and runs the size metric group — asserting the
-whole read path fits a peak-RSS budget that a materialized dict-of-dict
-graph could not.  The subprocess matters: ``ru_maxrss`` is a
+the mmap CSR snapshot and runs the size metric group, and at 10^5 nodes
+the paths group too (400 sampled BFS sources) — asserting the whole read
+path fits a peak-RSS budget that a materialized dict-of-dict graph could
+not.  The subprocess matters: ``ru_maxrss`` is a
 process-lifetime high-water mark, so measuring in the grower process
 would only ever see the growth phase's peak.  The 10^6 point runs when
 ``REPRO_SCALE_FULL=1`` (a couple of minutes and a few hundred MB of
@@ -87,19 +88,23 @@ def test_full_scale_engine_speedup(perf):
 
 
 # One subprocess script: reopen the store's mmap CSR view, measure the
-# size group, report peak RSS.  peak_rss_kb (VmHWM) rather than
-# ru_maxrss: the child is forked from this bloated grower process, and
-# ru_maxrss inherits the parent's resident set across fork+exec.  The
-# script imports scipy (the component kernel), so the budget must cover
-# the interpreter + numpy + scipy baseline; the graph itself must stay
-# out of resident memory.
+# size group, then the metric groups named after the path (if any), and
+# report peak RSS.  peak_rss_kb (VmHWM) rather than ru_maxrss: the child
+# is forked from this bloated grower process, and ru_maxrss inherits the
+# parent's resident set across fork+exec.  The script imports scipy (the
+# component kernel), so the budget must cover the interpreter + numpy +
+# scipy baseline; the graph itself must stay out of resident memory.
 _MEASURE_SCRIPT = """
 import json, sys
+from repro.core.metrics import compute_metric_groups
 from repro.obs.sampler import peak_rss_kb
 from repro.store import GraphStore
 
 store = GraphStore.open(sys.argv[1])
 values = store.measure()
+if sys.argv[2:]:
+    for group in compute_metric_groups(store.csr(), sys.argv[2:]).values():
+        values.update(group)
 print(json.dumps({"values": values, "peak_rss_kb": peak_rss_kb()}))
 """
 
@@ -149,10 +154,13 @@ def test_out_of_core_scale_series(n, tmp_path, perf):
     assert not again.regenerated
     assert reopen_s < grow_s
 
+    # The 10^6 point measures size alone: its paths group does not yet fit
+    # the 500 MB budget.
+    extra_groups = ["paths"] if n < 1_000_000 else []
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", _MEASURE_SCRIPT, str(path)],
+        [sys.executable, "-c", _MEASURE_SCRIPT, str(path), *extra_groups],
         capture_output=True,
         text=True,
         env=env,
@@ -168,6 +176,8 @@ def test_out_of_core_scale_series(n, tmp_path, perf):
     )
     assert values["num_nodes"] > 0.5 * n  # PLRG giant component
     assert 0 < values["giant_fraction"] <= 1.0
+    if extra_groups:
+        assert 2.0 < values["average_path_length"] < 10.0
     perf.values["grow_seconds"] = grow_s
     perf.values["reopen_seconds"] = reopen_s
     perf.values["measure_peak_rss_kb"] = peak_kb

@@ -853,9 +853,12 @@ class WorkerPool:
         returns one :class:`UnitOutcome` per task, in order.
 
         Every unit is submitted individually; an exception raised in a
-        unit costs only its own unit, and a worker process dying outright
-        (:class:`BrokenExecutor`) charges the unit being waited on and
-        rebuilds the pool for the rest.  One timeout rule holds at every
+        unit costs only its own unit.  A worker process dying outright
+        (:class:`BrokenExecutor`) breaks the pool, and the executor cannot
+        say which unit killed it: the pool is rebuilt, nobody is charged,
+        and the round's units not yet collected re-run one at a time, so
+        the death is charged only to a unit that breaks a pool running it
+        alone.  One timeout rule holds at every
         ``jobs``: a unit whose own ``seconds`` exceed *timeout* is charged
         a timeout once its result arrives, and a process pool also stops
         waiting on a unit *timeout* seconds into its wait, abandoning it
@@ -877,6 +880,8 @@ class WorkerPool:
             index: 0 for index in range(len(tasks))
         }  # index → attempts used
         outcomes: Dict[int, UnitOutcome] = {}
+        # Units a broken pool had not returned; they run one per round.
+        suspects: set = set()
 
         def charge(index: int, status: str, error: str, seconds: float) -> None:
             attempts = pending[index] + 1
@@ -897,30 +902,34 @@ class WorkerPool:
         while pending:
             broken = False
             hung = False
+            suspects &= pending.keys()
             futures = {}
-            for index in sorted(pending):
+            for index in [min(suspects)] if suspects else sorted(pending):
                 futures[index] = self.submit(tasks[index])
                 log.emit(
                     "unit_start", attempt=pending[index], jobs=self.jobs,
                     **tasks[index]["unit"],
                 )
-            for index, future in futures.items():
+            for collected, (index, future) in enumerate(futures.items()):
                 waited = time.perf_counter()
                 try:
                     outcome = future.result(timeout=timeout)
                 except BrokenExecutor as exc:
                     # A worker died without raising (segfault, OOM-kill,
-                    # os._exit): the whole pool is unusable.  Attribution
-                    # is heuristic — the unit being waited on is charged —
-                    # and every other in-flight unit is re-run free of
-                    # charge in a fresh pool.
-                    log.emit("pool_broken", error=repr(exc), **tasks[index]["unit"])
-                    charge(
-                        index, "failed",
-                        f"BrokenExecutor: worker process died abruptly "
-                        f"({exc!r}); unit charged heuristically",
-                        time.perf_counter() - waited,
-                    )
+                    # os._exit): the whole pool is unusable.  A unit alone
+                    # in its round killed it; otherwise no unit is charged,
+                    # and the ones not yet collected re-run one per round
+                    # in fresh pools, free of charge.
+                    log.emit("pool_broken", error=repr(exc), in_flight=len(futures))
+                    if len(futures) == 1:
+                        charge(
+                            index, "failed",
+                            f"BrokenExecutor: worker process died abruptly "
+                            f"while this unit ran alone in its round ({exc!r})",
+                            time.perf_counter() - waited,
+                        )
+                    else:
+                        suspects.update(list(futures)[collected:])
                     broken = True
                     break
                 except Exception as exc:

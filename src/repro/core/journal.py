@@ -40,7 +40,9 @@ event                 meaning
                       RSS, CPU seconds)
 ``unit_retry``        a failed/timed-out attempt will be retried
 ``unit_fail``         a unit exhausted its attempts (status, traceback)
-``pool_broken``       a worker process died abruptly; the pool is rebuilt
+``pool_broken``       a worker process died abruptly (``in_flight``
+                      units); the pool is rebuilt, and a unit is charged
+                      only when it ran alone in its round
 ``battery_end``       the run finished (elapsed, failures, cache counters)
 ====================  =====================================================
 """

@@ -6,7 +6,11 @@ plus the node↔index maps that tie array positions back to node ids.  The
 metric kernels (BFS path lengths, Brandes betweenness, triangle counting,
 k-core peeling, rich-club and correlation sweeps, the percolation sweeps)
 run on this view; the dict-walking loops they replaced are kept in the
-test suite as oracles.
+test suite as oracles.  Path lengths, eccentricities, the diameter and
+path inflation share one multi-source BFS, :meth:`CSRView.bfs_levels`:
+64 sources per uint64 word, one ``bitwise_or.reduceat`` over the rows
+per level, and each level handed out as the bitset of positions first
+reached there, so every path quantity is an integer count of set bits.
 
 The view contract:
 
@@ -18,16 +22,20 @@ The view contract:
 * **never stale** — :meth:`Graph.csr` caches the view against a
   monotonically bumped mutation counter, so any ``add_edge`` /
   ``remove_edge`` / ``remove_node`` / ``set_edge_weight`` after the build
-  makes the next ``csr()`` call rebuild.
+  makes the next ``csr()`` call rebuild;
+* **backing-agnostic** — kernels only read the arrays, so a view built
+  in memory and one reopened from a snapshot with ``np.load(...,
+  mmap_mode="r")`` (what the spool and the store hand out) give the same
+  bits.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CSRView", "resolve_backend"]
+__all__ = ["CSRView", "popcount", "resolve_backend"]
 
 Node = Hashable
 
@@ -48,6 +56,12 @@ def resolve_backend(backend: str = "auto", size: int = 0) -> str:
             f"unknown backend {backend!r}; choose one of: {', '.join(choices)}"
         )
     return "csr"
+
+
+def popcount(bits: np.ndarray) -> int:
+    """Number of set bits in a uint64 array (a :meth:`CSRView.bfs_levels`
+    level: the (source, target) pairs at that distance)."""
+    return int(np.bitwise_count(bits).sum(dtype=np.int64))
 
 
 class CSRView:
@@ -76,7 +90,6 @@ class CSRView:
         "_index",
         "degrees",
         "_sparse",
-        "_bfs_sparse",
     )
 
     def __init__(
@@ -98,7 +111,6 @@ class CSRView:
         degrees.setflags(write=False)
         self.degrees = degrees
         self._sparse = None
-        self._bfs_sparse = None
 
     @property
     def index(self) -> Dict[Node, int]:
@@ -220,62 +232,71 @@ class CSRView:
             )
         return self._sparse
 
-    def _frontier_sparse(self):
-        """float32 0/1 adjacency for distance-only frontier expansion,
-        where values are just reachability counts bounded by the max
-        degree (exact in float32) and bandwidth is the bottleneck."""
-        if self._bfs_sparse is None:
-            from scipy.sparse import csr_matrix
-
-            n = self.num_nodes
-            data = np.ones(len(self.indices), dtype=np.float32)
-            self._bfs_sparse = csr_matrix(
-                (data, self.indices, self.indptr), shape=(n, n)
-            )
-        return self._bfs_sparse
-
-    def distance_batch(
+    def bfs_levels(
         self, sources: np.ndarray, active: "np.ndarray | None" = None
-    ) -> np.ndarray:
-        """Hop distances from many sources at once: an ``(n, len(sources))``
-        int32 matrix, -1 for unreachable.
+    ) -> Iterator[np.ndarray]:
+        """Bit-parallel BFS from many sources at once, one level at a time.
 
-        Level-synchronous expansion of all source frontiers together —
-        one sparse·dense matmul per BFS level for the whole batch — which
-        amortizes the per-level array overhead that makes one-source-at-a-
-        time frontier BFS slow.  Column ``j`` equals
-        ``bfs_distances(sources[j])``.
+        Source ``j`` owns bit ``j % 64`` of word ``j // 64``.  For each
+        level d = 1, 2, ... this yields an ``(n, words)`` uint64 bitset
+        whose row ``i`` has bit ``j`` set exactly when position ``i`` lies
+        at hop distance d from ``sources[j]``; it stops after the last
+        level that reached anything.  A level costs one gather of the
+        frontier words over ``indices`` and one ``bitwise_or.reduceat``
+        over the rows, so 64 sources share every array pass, and no
+        distance matrix is ever held: callers popcount or OR-reduce the
+        levels for what they need.
 
         *active*, when given, is a length-``n`` boolean mask restricting
         the BFS to the induced subgraph on the True positions: inactive
-        positions are never visited, never expanded, and stay -1 in every
-        column — what the percolation sweeps need to measure a partially
-        removed graph without rebuilding the view.  All *sources* must be
-        active.
+        positions are never visited and never expanded, which is what the
+        percolation sweeps need to measure a partially removed graph
+        without rebuilding the view.  An inactive source raises
+        :class:`ValueError`.
         """
-        n = self.num_nodes
-        batch = int(sources.size)
-        distances = np.full((n, batch), -1, dtype=np.int32)
-        if n == 0 or batch == 0:
-            return distances
+        sources = np.asarray(sources, dtype=np.int64)
+        if self.num_nodes == 0 or sources.size == 0:
+            return iter(())
         if active is not None and not active[sources].all():
             raise ValueError("all sources must be active positions")
-        adjacency = self._frontier_sparse()
-        cols = np.arange(batch)
-        distances[sources, cols] = 0
-        frontier = np.zeros((n, batch), dtype=np.float32)
-        frontier[sources, cols] = 1.0
-        depth = 0
+        return self._levels(sources, active)
+
+    def _levels(
+        self, sources: np.ndarray, active: "np.ndarray | None"
+    ) -> Iterator[np.ndarray]:
+        # reduceat gives an empty segment the element at its start (and
+        # rejects a start past the end), so reduce over non-empty rows
+        # only; consecutive non-empty starts bound exactly one row each.
+        rows = np.flatnonzero(self.degrees)
+        if rows.size == 0:
+            return
+        starts = self.indptr[rows]
+        bits = np.arange(sources.size)
+        frontier = np.zeros((self.num_nodes, -(-sources.size // 64)), np.uint64)
+        # .at, so two sources at one position both set their bit.
+        np.bitwise_or.at(
+            frontier,
+            (sources, bits // 64),
+            np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64)),
+        )
+        visited = frontier.copy()
+        if active is not None:
+            # Inactive rows count as visited by every source, so no level
+            # ever reaches (or expands) them.
+            visited[~active] = ~np.uint64(0)
         while True:
-            reached = adjacency @ frontier
-            fresh = (reached > 0) & (distances < 0)
-            if active is not None:
-                fresh &= active[:, None]
-            if not fresh.any():
-                return distances
-            depth += 1
-            distances[fresh] = depth
-            frontier = fresh.astype(np.float32)
+            gathered = np.take(frontier, self.indices, axis=0)
+            reached = np.bitwise_or.reduceat(gathered, starts, axis=0)
+            reached &= ~visited[rows]
+            if not reached.any():
+                return
+            fresh = np.zeros_like(frontier)
+            fresh[rows] = reached
+            visited |= fresh
+            # The next level expands from it: callers only read it.
+            fresh.setflags(write=False)
+            yield fresh
+            frontier = fresh
 
     def __repr__(self) -> str:
         return f"<CSRView: {self.num_nodes} nodes, {self.num_edges} edges>"

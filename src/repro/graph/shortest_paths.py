@@ -5,6 +5,14 @@ hop-count distribution with mean ≈ 3.5–4.  Exact all-pairs BFS costs
 O(N·E); for graphs beyond a few thousand nodes the functions here switch to
 uniform source sampling, which estimates the distribution with controlled
 error while keeping harness runtimes bounded.
+
+Every function here runs the view's bit-parallel BFS
+(:meth:`~repro.graph.csr.CSRView.bfs_levels`) over chunks of
+``_BFS_BATCH`` sources.  Each level is a bitset of the (target, source)
+pairs first reached at that distance, so the hop counts are popcounts of
+the levels, a source's eccentricity is the last level holding its bit,
+and the diameter is the last level of all: every value is an integer
+count, whatever the view's arrays are backed by.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..stats.rng import SeedLike, make_rng
-from .csr import CSRView
+from .csr import CSRView, popcount
 from .graph import Graph
 
 __all__ = [
@@ -88,8 +96,9 @@ def path_length_distribution(
     return path_length_stats(view, range(view.num_nodes), max_sources, seed)
 
 
-#: Sources per batched-BFS chunk: large enough to amortize per-level array
-#: overhead, small enough to keep the dense (n, batch) workspaces in cache.
+#: Sources per :meth:`~repro.graph.csr.CSRView.bfs_levels` chunk, 8
+#: uint64 words per row: enough to amortize each level's array passes
+#: over many sources, few enough that a level's (n, 8) bitsets stay small.
 _BFS_BATCH = 512
 
 
@@ -100,7 +109,7 @@ def path_length_stats(
     seed: SeedLike = None,
 ) -> PathLengthStats:
     """Hop-count distribution from BFS roots among *candidates* (positions
-    of *view*, in position order), run as batched BFS on the view.
+    of *view*, in position order), run as bit-parallel BFS on the view.
 
     With *max_sources* set and smaller than the candidate count, the roots
     are ``rng.sample(candidates, max_sources)``; ``random.sample`` picks by
@@ -115,19 +124,11 @@ def path_length_stats(
     else:
         sources = make_rng(seed).sample(candidates, max_sources)
     positions = np.asarray(sources, dtype=np.int64)
-    totals = np.zeros(1, dtype=np.int64)
+    counts: Dict[int, int] = {}
     for start in range(0, positions.size, _BFS_BATCH):
-        distances = view.distance_batch(positions[start : start + _BFS_BATCH])
-        reached = distances[distances > 0]
-        if reached.size == 0:
-            continue
-        per_chunk = np.bincount(reached)
-        if per_chunk.size > totals.size:
-            grown = np.zeros(per_chunk.size, dtype=np.int64)
-            grown[: totals.size] = totals
-            totals = grown
-        totals[: per_chunk.size] += per_chunk
-    counts = {d: int(c) for d, c in enumerate(totals.tolist()) if c}
+        levels = view.bfs_levels(positions[start : start + _BFS_BATCH])
+        for depth, fresh in enumerate(levels, start=1):
+            counts[depth] = counts.get(depth, 0) + popcount(fresh)
     return PathLengthStats(counts=counts, sources=len(sources), exact=exact)
 
 
@@ -151,11 +152,16 @@ def eccentricities(graph: Graph) -> Dict[Node, int]:
     out: Dict[Node, int] = {}
     for start in range(0, n, _BFS_BATCH):
         positions = np.arange(start, min(start + _BFS_BATCH, n))
-        # Unreachable entries are -1 < 0, so the column max is the
-        # farthest reachable node (0 for an isolated source).
-        maxima = view.distance_batch(positions).max(axis=0)
-        for i, ecc in zip(positions.tolist(), maxima.tolist()):
-            out[view.nodes[i]] = int(ecc)
+        bits = np.arange(positions.size)
+        shifts = (bits % 64).astype(np.uint64)
+        # A source's eccentricity is the last level that reached anything
+        # from it (0 for an isolated source).
+        farthest = np.zeros(positions.size, dtype=np.int64)
+        for depth, fresh in enumerate(view.bfs_levels(positions), start=1):
+            words = np.bitwise_or.reduce(fresh, axis=0)
+            farthest[((words[bits // 64] >> shifts) & np.uint64(1)) == 1] = depth
+        for i, ecc in zip(positions.tolist(), farthest.tolist()):
+            out[view.nodes[i]] = ecc
     return out
 
 
@@ -170,8 +176,11 @@ def diameter(graph: Graph) -> int:
     best = 0
     for start in range(0, n, _BFS_BATCH):
         positions = np.arange(start, min(start + _BFS_BATCH, n))
-        distances = view.distance_batch(positions)
-        if int((distances >= 0).sum()) != n * positions.size:
+        # Each source reaches itself at level 0.
+        pairs = positions.size
+        for depth, fresh in enumerate(view.bfs_levels(positions), start=1):
+            pairs += popcount(fresh)
+            best = max(best, depth)
+        if pairs != n * positions.size:
             raise ValueError("diameter is undefined on a disconnected graph")
-        best = max(best, int(distances.max()))
     return best

@@ -22,10 +22,11 @@ CSR view:
   Trajectories are **bit-identical** to the reference sweep for every
   strategy, seed, and graph shape (the equivalence suite enforces this).
 * :func:`path_inflation_sweep` — sampled path-length inflation along the
-  same removal schedule, via the batched BFS kernel
-  (:meth:`~repro.graph.csr.CSRView.distance_batch`) restricted to the
-  surviving nodes with its ``active`` mask.  Distances are integers and
-  are accumulated as integers, so the sampled means are exact ratios.
+  same removal schedule, via the bit-parallel BFS kernel
+  (:meth:`~repro.graph.csr.CSRView.bfs_levels`) restricted to the
+  surviving nodes with its ``active`` mask.  Each level's popcount is the
+  number of (source, target) pairs at that distance; the sums of d·count
+  and count are integers, so the sampled means are exact ratios.
 * :func:`link_redundancy` / :func:`shortcut_fraction` — the Zhou–Mondragón
   redundancy fingerprints: the fraction of links whose loss does not
   disconnect their endpoints (non-bridge links, i.e. links on a cycle) and
@@ -42,6 +43,7 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
+from ..graph.csr import popcount
 from ..graph.cuts import bridges
 from ..graph.graph import Graph
 from ..obs.tracer import get_tracer
@@ -315,8 +317,8 @@ def path_inflation_sweep(
     *samples* seeded sources drawn from the surviving nodes, and the mean
     distance over all reachable (source, target) pairs is recorded.  The
     victim order is computed once; all sources of a measurement then run
-    as one batched masked BFS
-    (:meth:`~repro.graph.csr.CSRView.distance_batch` with its ``active``
+    as one bit-parallel masked BFS
+    (:meth:`~repro.graph.csr.CSRView.bfs_levels` with its ``active``
     mask) on the intact graph's view, accumulating integer distances, so
     no graph copy is ever mutated.
     """
@@ -344,12 +346,14 @@ def path_inflation_sweep(
                 (view.index[node] for node in sources),
                 dtype=np.int64, count=len(sources),
             )
-            distances = view.distance_batch(positions, active=active)
-            reached = distances > 0
-            pairs = int(reached.sum())
+            pairs = distance_sum = 0
+            levels = view.bfs_levels(positions, active=active)
+            for depth, fresh in enumerate(levels, start=1):
+                count = popcount(fresh)
+                pairs += count
+                distance_sum += depth * count
             if pairs == 0:
                 return float("nan")
-            distance_sum = int(distances.sum(where=reached, dtype=np.int64))
             return distance_sum / pairs
 
         checkpoints = _checkpoints(total, steps)

@@ -1,5 +1,7 @@
 """Tests for grid calibration."""
 
+import os
+
 import pytest
 
 from repro.core import grid_calibrate, summarize
@@ -15,6 +17,16 @@ class BrokenAtThreeGenerator(BarabasiAlbertGenerator):
     def generate(self, n, seed=None):
         if self.m == 3:
             raise ZeroDivisionError("injected failure at m=3")
+        return super().generate(n, seed=seed)
+
+
+class DyingAtThreeGenerator(BarabasiAlbertGenerator):
+    """BA whose worker process dies outright (``os._exit``) at m=3;
+    module-level so it pickles to workers."""
+
+    def generate(self, n, seed=None):
+        if self.m == 3:
+            os._exit(1)
         return super().generate(n, seed=seed)
 
 
@@ -96,6 +108,18 @@ class TestContainment:
         )
         assert result.trials == kept.trials
         assert result.best_params == {"m": 2}
+
+    def test_dying_point_costs_only_itself(self):
+        # The dying point sits between two innocent ones, so their units
+        # are in flight when its worker takes the pool down; retries=0, so
+        # a unit charged for the death would drop its point.  At least two
+        # jobs: in process, the death would end the test run itself.
+        target = summarize(BarabasiAlbertGenerator(m=2).generate(150, seed=7))
+        result = grid_calibrate(
+            DyingAtThreeGenerator, {"m": [1, 3, 2]}, target, n=150, seeds=2,
+            jobs=max(2, PARALLEL_JOBS),
+        )
+        assert sorted(params["m"] for params, _ in result.trials) == [1, 2]
 
     def test_failing_units_name_their_error(self):
         target = summarize(BarabasiAlbertGenerator(m=2).generate(150, seed=7))

@@ -8,7 +8,9 @@ kernel it reaches swapped for its oracle — ``reference(average_clustering,
 g)`` averages the oracle's local clustering, and
 ``reference(compute_metric_groups, g, groups)`` runs the whole battery on
 the oracles: the giant as a subgraph of the oracle components, every
-group from the oracle kernels on that subgraph.
+group from the oracle kernels on that subgraph.  :func:`distance_batch`
+is the dense-matrix BFS that :meth:`~repro.graph.csr.CSRView.bfs_levels`
+replaced; it takes the view as its first argument.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import sys
 from collections import deque
 from typing import Dict, Hashable, List, Optional, Set
 
+import numpy as np
 import pytest
 
 # compute_metric_groups imports the robustness kernels lazily.  Import them
@@ -279,6 +282,51 @@ def _scored(graph: Graph, sources, scale: float):
 
 
 # ---------------------------------------------------------- path lengths
+
+
+def _frontier_sparse(view):
+    """float32 0/1 adjacency for distance-only frontier expansion, where
+    values are reachability counts bounded by the max degree (exact in
+    float32)."""
+    from scipy.sparse import csr_matrix
+
+    n = view.num_nodes
+    data = np.ones(len(view.indices), dtype=np.float32)
+    return csr_matrix((data, view.indices, view.indptr), shape=(n, n))
+
+
+def distance_batch(view, sources: np.ndarray, active=None) -> np.ndarray:
+    """Hop distances from many sources at once: an ``(n, len(sources))``
+    int32 matrix, -1 for unreachable, one sparse·dense matmul per level.
+
+    *active*, when given, is a length-``n`` boolean mask restricting the
+    BFS to the induced subgraph on the True positions: inactive positions
+    are never visited, never expanded, and stay -1 in every column.  All
+    *sources* must be active.
+    """
+    n = view.num_nodes
+    batch = int(sources.size)
+    distances = np.full((n, batch), -1, dtype=np.int32)
+    if n == 0 or batch == 0:
+        return distances
+    if active is not None and not active[sources].all():
+        raise ValueError("all sources must be active positions")
+    adjacency = _frontier_sparse(view)
+    cols = np.arange(batch)
+    distances[sources, cols] = 0
+    frontier = np.zeros((n, batch), dtype=np.float32)
+    frontier[sources, cols] = 1.0
+    depth = 0
+    while True:
+        reached = adjacency @ frontier
+        fresh = (reached > 0) & (distances < 0)
+        if active is not None:
+            fresh &= active[:, None]
+        if not fresh.any():
+            return distances
+        depth += 1
+        distances[fresh] = depth
+        frontier = fresh.astype(np.float32)
 
 
 def path_length_distribution(

@@ -9,18 +9,23 @@ non-integer or mixed int/str node ids.  The battery measures a
 same bits from a view (in memory or a reopened snapshot) as from the
 graph.  Betweenness (not a battery scalar) accumulates floats in a
 different order in the two, so it gets a 1e-9 relative tolerance
-instead of exact equality.
+instead of exact equality.  The bit-parallel BFS behind every path
+quantity is held level by level to the dense distance-matrix oracle,
+on in-memory and memory-mapped views alike.
 """
 
+import contextlib
 import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.metrics import METRIC_GROUPS, compute_metric_groups
+from repro.core.transport import materialize_view
 from repro.graph import Graph
 from repro.graph.betweenness import approximate_betweenness, betweenness_centrality
 from repro.graph.clustering import (
@@ -39,16 +44,18 @@ from repro.graph.correlations import (
     knn_by_degree,
     knn_spectrum,
 )
+from repro.graph.csr import popcount
 from repro.graph.richclub import rich_club_coefficient
 from repro.graph.shortest_paths import (
     diameter,
     eccentricities,
     path_length_distribution,
+    path_length_stats,
 )
 from repro.graph.traversal import connected_components, is_connected
 from repro.store.snapshot import load_csr_snapshot, save_csr_snapshot
 
-from .oracles import reference
+from .oracles import distance_batch, reference
 
 # Node-id pools exercising non-integer ids; each graph draws from one
 # pool.  The last mixes ints and strs, as an edge list mixing ASNs and
@@ -94,6 +101,61 @@ def two_equal_giants():
     g.add_nodes(["p0", "t0", "p1", "t1", "p2", "t2", "lone"])
     g.add_edges([("p0", "p1"), ("p1", "p2"), ("t0", "t1"), ("t1", "t2"), ("t2", "t0")])
     return g
+
+
+#: Sources per BFS call: one word, a word's edges, and both sides of the
+#: 512-source chunk the path functions run.
+SOURCE_COUNTS = (1, 63, 64, 65, 512, 513)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Random sparse graphs for the BFS kernels: many components, isolated
+    nodes (the last position too, when drawn), sizes on both sides of a
+    512-source chunk, and int ids (a range-mode snapshot) or str ids."""
+    n = draw(st.sampled_from((1, 2, 3, 24, 70, 600)))
+    nodes = draw(st.sampled_from((list(range(n)), [f"as{i}" for i in range(n)])))
+    edges_per_node = draw(st.sampled_from((0, 0.5, 1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = rng.integers(0, n, size=(int(edges_per_node * n), 2))
+    if draw(st.booleans()):
+        edges = edges[(edges != n - 1).all(axis=1)]
+    g = Graph()
+    g.add_nodes(nodes)
+    g.add_edges((nodes[u], nodes[v]) for u, v in edges.tolist() if u != v)
+    return g
+
+
+def isolated_tail():
+    """A path and a triangle, then an isolated last position."""
+    g = Graph()
+    g.add_nodes(range(7))
+    g.add_edges([(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])
+    return g
+
+
+def no_edges():
+    """Five isolated nodes: the giant is one node."""
+    g = Graph()
+    g.add_nodes([f"as{i}" for i in range(5)])
+    return g
+
+
+@contextlib.contextmanager
+def both_views(g):
+    """The graph's own view and the same view reopened from a snapshot,
+    whose arrays are read-only memory maps."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "g"
+        save_csr_snapshot(path, g.csr())
+        yield g.csr(), load_csr_snapshot(path)
+
+
+def unpack(level, count):
+    """A level as an (n, count) boolean matrix: column j is source j's."""
+    bits = np.arange(count)
+    shifted = level[:, bits // 64] >> (bits % 64).astype(np.uint64)
+    return (shifted & np.uint64(1)) == 1
 
 
 def assert_same(a, b, rel=0.0, label=""):
@@ -285,6 +347,78 @@ class TestKernelEquivalence:
             rel=1e-9,
             label="approx-betweenness",
         )
+
+
+class TestBitParallelBFS:
+    @given(
+        sparse_graphs(),
+        st.sampled_from(SOURCE_COUNTS),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(isolated_tail(), 65, False, 0)
+    @example(isolated_tail(), 513, True, 1)
+    @example(no_edges(), 64, False, 2)
+    @settings(max_examples=40, deadline=None)
+    def test_levels_match_distance_oracle(self, g, count, masked, seed):
+        # Sources are drawn with replacement, so one position can hold
+        # several sources' bits, some in the same word.
+        rng = np.random.default_rng(seed)
+        with both_views(g) as (memory, mapped):
+            n = memory.num_nodes
+            sources = rng.integers(0, n, size=count)
+            active = None
+            if masked:
+                active = rng.random(n) < 0.7
+                active[sources] = True
+            expected = distance_batch(memory, sources, active)
+            reached = expected > 0
+            for view in (memory, mapped):
+                levels = list(view.bfs_levels(sources, active))
+                assert len(levels) == int(expected.max())
+                for depth, level in enumerate(levels, start=1):
+                    assert level.shape == (n, -(-count // 64))
+                    bits = unpack(level, count)
+                    assert np.array_equal(bits, expected == depth), depth
+                    # No bit beyond the last source is ever set.
+                    assert popcount(level) == int(bits.sum())
+                pairs = sum(popcount(level) for level in levels)
+                distance_sum = sum(
+                    depth * popcount(level)
+                    for depth, level in enumerate(levels, start=1)
+                )
+                assert pairs == int(reached.sum())
+                assert distance_sum == int(expected.sum(where=reached, dtype=np.int64))
+
+    @given(sparse_graphs())
+    @example(isolated_tail())
+    @example(no_edges())
+    @settings(max_examples=25, deadline=None)
+    def test_path_functions_match_oracles(self, g):
+        counts = reference(path_length_distribution, g).counts
+        farthest = reference(eccentricities, g)
+        connected = reference(is_connected, g)
+        with both_views(g) as (memory, mapped):
+            for view, graph in ((memory, g), (mapped, materialize_view(mapped))):
+                assert graph.csr() is view
+                positions = range(view.num_nodes)
+                assert path_length_stats(view, positions).counts == counts
+                assert eccentricities(graph) == farthest
+                if connected:
+                    assert diameter(graph) == reference(diameter, g)
+                else:
+                    with pytest.raises(ValueError):
+                        diameter(graph)
+
+    def test_inactive_source_raises(self):
+        view = isolated_tail().csr()
+        active = np.ones(view.num_nodes, dtype=bool)
+        active[4] = False
+        sources = np.array([0, 4])
+        with pytest.raises(ValueError):
+            distance_batch(view, sources, active)
+        with pytest.raises(ValueError):
+            view.bfs_levels(sources, active)
 
 
 def sorted_key(component):

@@ -35,7 +35,7 @@ from repro.resilience import (
 )
 from repro.stats.rng import derive_seed, make_rng
 
-from ..graph.oracles import reference
+from ..graph.oracles import distance_batch, reference
 from .oracles import ORACLES
 
 
@@ -189,7 +189,7 @@ class TestInflationEquivalence:
         g = BarabasiAlbertGenerator(m=2).generate(400, seed=3)
         view = g.csr()
         n = view.num_nodes
-        full = view.distance_batch(np.arange(n, dtype=np.int64))
+        full = distance_batch(view, np.arange(n, dtype=np.int64))
         population = full[full > 0]
 
         seed = 11
