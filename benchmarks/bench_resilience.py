@@ -1,8 +1,9 @@
 """Percolation-sweep shoot-out: reference sweeps vs the CSR kernels.
 
-Per strategy on a BA(m=2) graph at n = 3000, ``removal_sweep`` races
-``percolation_sweep``, and the dict-BFS oracle in
-tests/resilience/oracles.py races the sampled path-inflation sweep.
+Per strategy on a BA(m=2) graph at n = 3000, the reference
+``removal_sweep`` in tests/resilience/oracles.py races
+``percolation_sweep``, and the dict-BFS oracle there races the sampled
+path-inflation sweep.
 Every timed pair is also an oracle check: the two must return
 bit-identical trajectories, so a timing run can never report a speedup
 for a divergent kernel. The
@@ -22,7 +23,6 @@ from repro.resilience import (
     AttackStrategy,
     path_inflation_sweep,
     percolation_sweep,
-    removal_sweep,
 )
 from tests.resilience import oracles
 
@@ -65,7 +65,7 @@ def test_resilience_sweep_speedups(perf, record_text):
 
     for strategy in SWEEP_STRATEGIES:
         python_run, python_s = _timed(
-            removal_sweep, graph=graph, strategy=strategy, seed=2,
+            oracles.removal_sweep, graph=graph, strategy=strategy, seed=2,
         )
         csr_run, csr_s = _timed(
             percolation_sweep, graph=graph, strategy=strategy, seed=2,

@@ -5,12 +5,13 @@ adding a metric dimension must not re-pay generation.  The workload here
 is the worst honest case for regeneration — a multi-pass, groups-split
 battery over generation-heavy models (brite, albert-barabasi) at n=3000
 with exact path metrics, where each pass measures one new metric group
-over the same (model, seed) topologies.  Under ``transport="regenerate"``
-every pass regenerates every topology; under ``transport="shared"`` the
-first pass publishes snapshots into the cache-resident spool and every
-later pass attaches, so generation is paid exactly once per (model, seed)
-— which the run journal proves, and the floors in ``perf_floors.json``
-gate (speedup >= 2x, generations per unit == 1).
+over the same (model, seed) topologies; ``REPRO_TRANSPORT`` forces the
+transport, since one-group passes would otherwise resolve to regenerate.
+Under ``regenerate`` every pass regenerates every topology; under
+``shared`` the first pass publishes snapshots into the cache-resident
+spool and every later pass attaches, so generation is paid exactly once
+per (model, seed) — which the run journal proves, and the floors in
+``perf_floors.json`` gate (speedup >= 2x, generations per unit == 1).
 
 Results are required to be bit-identical between transports, pass by
 pass — the speedup may be hardware-bound, the values never are.
@@ -20,6 +21,7 @@ import json
 import time
 
 from repro.core import METRIC_GROUPS, run_battery
+from repro.core.transport import REPRO_TRANSPORT_ENV
 
 MODELS = ["brite", "albert-barabasi"]
 N = 3000
@@ -33,17 +35,18 @@ KWARGS = dict(
 )
 
 
-def _run_passes(transport, cache_dir, journal=None):
+def _run_passes(monkeypatch, transport, cache_dir, journal=None):
     """Run the groups-split passes under one transport; return
     (total wall seconds, per-pass summary dicts)."""
+    monkeypatch.setenv(REPRO_TRANSPORT_ENV, transport)
     summaries = []
     start = time.perf_counter()
     for groups in PASSES:
         battery = run_battery(
-            MODELS, cache=cache_dir, groups=groups, transport=transport,
-            journal=journal, **KWARGS,
+            MODELS, cache=cache_dir, groups=groups, journal=journal, **KWARGS,
         )
         assert not battery.failures
+        assert battery.transport == transport
         summaries.append(
             {
                 entry.model: [s.as_dict() for s in entry.summaries]
@@ -53,13 +56,13 @@ def _run_passes(transport, cache_dir, journal=None):
     return time.perf_counter() - start, summaries
 
 
-def test_transport_speedup(perf, record_text, tmp_path):
+def test_transport_speedup(perf, record_text, tmp_path, monkeypatch):
     journal = tmp_path / "journal.jsonl"
     regen_seconds, regen_values = _run_passes(
-        "regenerate", tmp_path / "regen-cache"
+        monkeypatch, "regenerate", tmp_path / "regen-cache"
     )
     shared_seconds, shared_values = _run_passes(
-        "shared", tmp_path / "shared-cache", journal=journal
+        monkeypatch, "shared", tmp_path / "shared-cache", journal=journal
     )
     assert shared_values == regen_values  # bit-identical, pass by pass
 

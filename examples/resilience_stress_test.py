@@ -19,8 +19,8 @@ from repro.graph import epidemic_threshold, giant_component, spectral_radius
 from repro.resilience import (
     AttackStrategy,
     critical_fraction,
+    percolation_sweep,
     prevalence_curve,
-    removal_sweep,
 )
 from repro.viz import multi_scatter
 
@@ -41,8 +41,8 @@ def main() -> None:
     series = {}
     rows = []
     for label, graph in (("internet", internet), ("er", strawman)):
-        random_run = removal_sweep(graph, AttackStrategy.RANDOM, steps=12, seed=1)
-        attack_run = removal_sweep(graph, AttackStrategy.DEGREE, steps=12, seed=1)
+        random_run = percolation_sweep(graph, AttackStrategy.RANDOM, steps=12, seed=1)
+        attack_run = percolation_sweep(graph, AttackStrategy.DEGREE, steps=12, seed=1)
         series[f"{label} random"] = random_run.as_points()
         series[f"{label} attack"] = attack_run.as_points()
         rows.append(

@@ -381,13 +381,6 @@ def _add_battery_flags(parser: argparse.ArgumentParser) -> None:
         "--profile-dir", default=None, metavar="DIR",
         help="cProfile every work unit into DIR and print merged hotspots",
     )
-    parser.add_argument(
-        "--transport", default="auto", choices=("auto", "regenerate", "shared"),
-        help="graph transport for battery workers (shared publishes each "
-        "topology once as a zero-copy snapshot and splits metric groups "
-        "into independent units; results are identical either way; auto "
-        "picks by size and group count, env REPRO_TRANSPORT)",
-    )
 
 
 def _obs_setup(args):
@@ -500,7 +493,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             retries=args.retries,
             journal=args.journal,
             profile_dir=args.profile_dir,
-            transport=args.transport,
         )
         rows = [[model, mean] for model, mean in result.ranking()]
         spreads = {score.model: score.spread for score in result.scores}
@@ -544,8 +536,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             params.setdefault("journal", args.journal)
         if "profile_dir" in accepted and args.profile_dir is not None:
             params.setdefault("profile_dir", args.profile_dir)
-        if "transport" in accepted and args.transport != "auto":
-            params.setdefault("transport", args.transport)
         obs_state = _obs_setup(args)
         result = runner(**params)
         print(result.render())

@@ -97,6 +97,7 @@ from .transport import (
     SharedGraphHandle,
     SnapshotSpool,
     attach_view,
+    forced_transport,
     publish_graph,
     resolve_mp_context,
     resolve_transport,
@@ -788,17 +789,17 @@ class WorkerPool:
     * :meth:`shutdown` releases the workers (idempotent).
 
     The handle itself is thread-safe for submits; result collection is
-    the caller's business (futures are independent).  *mp_context* is a
-    start-method name or context object, resolved by
-    :func:`~repro.core.transport.resolve_mp_context` (env
-    ``REPRO_MP_START``, else the platform default).
+    the caller's business (futures are independent).  Workers start by
+    the method :func:`~repro.core.transport.resolve_mp_context` resolves
+    when the pool is made (env ``REPRO_MP_START``, else the platform
+    default).
     """
 
-    def __init__(self, jobs: int, mp_context=None):
+    def __init__(self, jobs: int):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.mp_context = resolve_mp_context(mp_context)
+        self.mp_context = resolve_mp_context()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._lock = threading.RLock()
         self.rebuilds = 0
@@ -1026,10 +1027,10 @@ class _InlinePool(WorkerPool):
         return 0
 
 
-def pool_for(jobs: int, mp_context=None) -> WorkerPool:
+def pool_for(jobs: int) -> WorkerPool:
     """The pool a batch run uses at *jobs*: *jobs* worker processes, or at
     jobs=1 the in-process :class:`_InlinePool`."""
-    return (WorkerPool if jobs > 1 else _InlinePool)(jobs, mp_context)
+    return (WorkerPool if jobs > 1 else _InlinePool)(jobs)
 
 
 def run_battery(
@@ -1048,8 +1049,6 @@ def run_battery(
     path_sample_threshold: int = SUMMARIZE_DEFAULTS["path_sample_threshold"],
     path_samples: int = SUMMARIZE_DEFAULTS["path_samples"],
     min_tail: int = SUMMARIZE_DEFAULTS["min_tail"],
-    transport: str = "auto",
-    mp_context=None,
 ) -> BatteryResult:
     """Run the metric battery over *models* × *seeds* replicates.
 
@@ -1082,18 +1081,18 @@ def run_battery(
     counter deltas land in :attr:`BatteryResult.metrics` and reconcile
     with the returned records at any *jobs* value.
 
-    *transport* picks how topologies reach their metric computations
-    (``auto``/``regenerate``/``shared``, env ``REPRO_TRANSPORT``; see
-    :mod:`repro.core.transport`).  Under ``shared``, each (model, seed)
-    topology is generated in its own journaled unit, published once as a
-    zero-copy snapshot — spooled beside the cell store when one is in
-    play (:func:`cell_spool`), so later runs and the service attach
+    The run resolves its transport once
+    (:func:`~repro.core.transport.resolve_transport`: env
+    ``REPRO_TRANSPORT``, else shared at large *n* with several groups)
+    and its pool's start method once (env ``REPRO_MP_START``), and
+    journals both in ``battery_start``.  Under ``shared``, each (model,
+    seed) topology is generated in its own journaled unit, published once
+    as a zero-copy snapshot — spooled beside the cell store when one is
+    in play (:func:`cell_spool`), so later runs and the service attach
     instead of regenerating — and each pending metric group runs as an
     independent unit attaching read-only.  The transport is a pure
     scheduling choice: summaries are bit-identical and cache cells carry
-    no trace of it.  *mp_context* pins the worker pools' multiprocessing
-    start method (``fork``/``spawn``/``forkserver`` or a context object,
-    env ``REPRO_MP_START``; default: the platform default).
+    no trace of it.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -1113,12 +1112,12 @@ def run_battery(
             f"unknown metric group(s) {unknown_groups!r}; available: {known}"
         )
     store = _resolve_cache(cache)
-    transport_used = resolve_transport(transport, n, len(group_names))
+    transport_used = resolve_transport(n, len(group_names))
     # One pool for the whole run: at jobs > 1 both waves (and every retry
     # round) reuse the same warm worker processes, so the per-process
     # transport attach caches stay hot across waves; at jobs=1 the same
     # loop runs each unit in this process.  Nothing starts until a submit.
-    pool = pool_for(jobs, mp_context)
+    pool = pool_for(jobs)
     stats_before = store.stats.snapshot()
     registry = get_registry()
     registry_before = registry.snapshot()
@@ -1136,6 +1135,8 @@ def run_battery(
         models=[label for label, _ in spec],
         n=n, seeds=seeds, jobs=jobs, groups=list(group_names),
         timeout=timeout, retries=retries, transport=transport_used,
+        transport_forced=forced_transport() is not None,
+        mp_start="inline" if jobs == 1 else pool.mp_context.get_start_method(),
     )
     registry.gauge("battery.jobs").set(jobs)
     sum_params = {
@@ -1371,8 +1372,6 @@ def compare_models(
     path_sample_threshold: int = SUMMARIZE_DEFAULTS["path_sample_threshold"],
     path_samples: int = SUMMARIZE_DEFAULTS["path_samples"],
     min_tail: int = SUMMARIZE_DEFAULTS["min_tail"],
-    transport: str = "auto",
-    mp_context=None,
 ) -> ComparisonBattery:
     """Score *models* against *target* over the full battery.
 
@@ -1384,9 +1383,9 @@ def compare_models(
     *retries*) are skipped in scoring with a ``RuntimeWarning`` naming the
     model, never crashing the comparison, and the reported cache counters
     are per-run deltas even when a shared :class:`ResultCache` instance is
-    reused across calls.  *tracer* / *profile_dir* / *transport* /
-    *mp_context* thread through to :func:`run_battery`; the target-summary
-    and scoring stages emit their own spans.
+    reused across calls.  *tracer* / *profile_dir* thread through to
+    :func:`run_battery`; the target-summary and scoring stages emit their
+    own spans.
     """
     store = _resolve_cache(cache)
     log = resolve_journal(journal)
@@ -1416,8 +1415,6 @@ def compare_models(
             journal=log,
             tracer=trc,
             profile_dir=profile_dir,
-            transport=transport,
-            mp_context=mp_context,
             **sum_params,
         )
         # Report this run's counters spanning the target cells as well as

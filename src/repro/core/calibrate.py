@@ -48,7 +48,6 @@ def grid_calibrate(
     seeds: int = 3,
     base_seed: int = 11,
     jobs: int = 1,
-    mp_context=None,
 ) -> CalibrationResult:
     """Exhaustive grid search minimizing the comparison score vs *target*.
 
@@ -58,11 +57,13 @@ def grid_calibrate(
     comparison score over *seeds* independent topologies of size *n*,
     each one ``full`` battery unit run by
     :meth:`~repro.core.battery.WorkerPool.run`: in this process at *jobs*
-    = 1, else on *jobs* worker processes started by *mp_context* (env
+    = 1, else on *jobs* worker processes (start method: env
     ``REPRO_MP_START``).  Only the generators are pickled, never the
     factory, and the transport does not apply.  A unit that raises skips
-    its point (a dead worker is charged, as in the battery, to the unit
-    being waited on); a grid with no point left raises.
+    its point.  A dead worker is charged to nobody: the pool is rebuilt
+    and the round's uncollected units re-run one at a time, so only a
+    unit that kills a pool running it alone skips its point.  A grid
+    with no point left raises.
     Trials are bit-identical in the same order at every *jobs*.  Traced
     calibrations adopt every unit's span tree under ``calibrate``.
     """
@@ -94,7 +95,7 @@ def grid_calibrate(
             unit_task(plan, tuple(METRIC_GROUPS), SUMMARIZE_DEFAULTS, trace=trc.enabled)
             for plan in plans
         ]
-        pool = pool_for(jobs, mp_context)
+        pool = pool_for(jobs)
         try:
             outcomes = pool.run(tasks)
         finally:

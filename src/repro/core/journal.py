@@ -31,7 +31,10 @@ Each attempt of a unit gets one ``unit_start``, then one ``unit_finish``,
 event                 meaning
 ====================  =====================================================
 ``battery_start``     one :func:`run_battery` call began (models, n, seeds,
-                      jobs, groups, timeout, retries)
+                      jobs, groups, timeout, retries; ``transport``, with
+                      ``transport_forced`` true when ``REPRO_TRANSPORT``
+                      chose it, and the pool's ``mp_start`` method, or
+                      ``"inline"`` at jobs=1)
 ``cache_hit``         a (unit, group) cell was served from the cache
 ``unit_start``        an attempt of a work unit was submitted (attempt
                       number, jobs)
@@ -45,6 +48,8 @@ event                 meaning
                       only when it ran alone in its round
 ``battery_end``       the run finished (elapsed, failures, cache counters)
 ====================  =====================================================
+
+The service's ``serve_start`` carries its pool's ``mp_start`` the same way.
 """
 
 from __future__ import annotations

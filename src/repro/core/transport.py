@@ -24,21 +24,22 @@ topology from *measuring* it:
   ephemeral spools, and ``.tmp`` staging reaping so a worker crash
   mid-publish never leaks half-written snapshots past a pool rebuild.
 
-:func:`resolve_transport` centralizes the battery's transport choice
-(``auto`` | ``regenerate`` | ``shared``): an explicit argument always
-wins, ``auto`` consults the ``REPRO_TRANSPORT`` environment variable, and
-otherwise shares at or above :data:`AUTO_SHARED_NODES` nodes when at
-least :data:`AUTO_SHARED_GROUPS` metric groups ride on each replicate
-(below that, publishing costs more than it saves).  Transport is a
-*scheduling* choice, never a semantics choice: both transports produce
-bit-identical battery results and identical cache cells.
+:func:`resolve_transport` is the battery's one transport rule: the
+``REPRO_TRANSPORT`` environment variable (``regenerate`` or ``shared``)
+decides when set — which lets CI force either transport across an
+unmodified suite — and otherwise a run shares at or above
+:data:`AUTO_SHARED_NODES` nodes when at least :data:`AUTO_SHARED_GROUPS`
+metric groups ride on each replicate (below that, publishing costs more
+than it saves).  Transport is a *scheduling* choice, never a semantics
+choice: both transports produce bit-identical battery results and
+identical cache cells.
 
-:func:`resolve_mp_context` is the companion knob for the worker pools
+:func:`resolve_mp_context` is the companion rule for the worker pools
 themselves: :class:`repro.core.battery.WorkerPool`, the one executor
-behind the battery, calibration and the service, resolves an explicit
-multiprocessing context when it is built, so pools (and the transport
-riding on them) behave identically under ``fork``, ``spawn``, and
-``forkserver`` start methods.
+behind the battery, calibration and the service, resolves its
+multiprocessing context (``REPRO_MP_START``, else the platform default)
+when it is built, so pools (and the transport riding on them) behave
+identically under ``fork``, ``spawn``, and ``forkserver`` start methods.
 """
 
 from __future__ import annotations
@@ -65,10 +66,10 @@ __all__ = [
     "attach_graph",
     "attach_view",
     "materialize_view",
+    "forced_transport",
     "resolve_transport",
     "resolve_mp_context",
     "clear_attach_cache",
-    "TRANSPORTS",
     "AUTO_SHARED_NODES",
     "AUTO_SHARED_GROUPS",
     "REPRO_TRANSPORT_ENV",
@@ -78,18 +79,16 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-#: Accepted values for the battery's ``transport`` parameter.
-TRANSPORTS = ("auto", "regenerate", "shared")
-
-#: ``transport="auto"`` shares topologies at or above this many nodes.
+#: Without ``REPRO_TRANSPORT``, a battery shares topologies at or above
+#: this many nodes...
 AUTO_SHARED_NODES = 2000
 
 #: ...and only when a replicate carries at least this many metric groups
 #: (publishing a snapshot for a single-group unit saves nothing).
 AUTO_SHARED_GROUPS = 2
 
-#: Environment variable consulted by ``transport="auto"`` (values:
-#: ``regenerate``, ``shared``, or ``auto``); explicit arguments win.
+#: Forces the battery's transport (values: ``regenerate`` or ``shared``;
+#: empty or ``auto`` leaves it to the size rule).
 REPRO_TRANSPORT_ENV = "REPRO_TRANSPORT"
 
 #: Overrides where ephemeral spools stage their snapshots (default:
@@ -99,66 +98,57 @@ REPRO_TRANSPORT_DIR_ENV = "REPRO_TRANSPORT_DIR"
 
 #: Multiprocessing start method of every worker pool (battery,
 #: calibration, service; values: ``fork``, ``spawn``, ``forkserver``);
-#: empty means the platform default.  Explicit ``mp_context`` arguments
-#: win.
+#: empty means the platform default.
 REPRO_MP_START_ENV = "REPRO_MP_START"
 
 
-def resolve_transport(transport: str = "auto", n: int = 0, groups: int = 1) -> str:
-    """Resolve a ``transport`` argument to ``"regenerate"`` or ``"shared"``.
-
-    Explicit choices pass through (after validation).  ``"auto"`` defers
-    first to the ``REPRO_TRANSPORT`` environment variable — which lets CI
-    force shared transport across an unmodified suite — then shares when
-    *n* ≥ :data:`AUTO_SHARED_NODES` and *groups* ≥
-    :data:`AUTO_SHARED_GROUPS`.
-    """
-    if transport not in TRANSPORTS:
-        choices = ", ".join(TRANSPORTS)
-        raise ValueError(
-            f"unknown transport {transport!r}; choose one of: {choices}"
-        )
-    if transport != "auto":
-        return transport
+def forced_transport() -> Optional[str]:
+    """The transport ``REPRO_TRANSPORT`` forces (``"regenerate"`` or
+    ``"shared"``), or ``None`` when it is unset, empty or ``auto``."""
     env = os.environ.get(REPRO_TRANSPORT_ENV, "").strip().lower()
     if env in ("regenerate", "shared"):
         return env
     if env not in ("", "auto"):
-        choices = ", ".join(TRANSPORTS)
         raise ValueError(
-            f"invalid {REPRO_TRANSPORT_ENV}={env!r}; choose one of: {choices}"
+            f"invalid {REPRO_TRANSPORT_ENV}={env!r}; "
+            "choose one of: auto, regenerate, shared"
         )
+    return None
+
+
+def resolve_transport(n: int, groups: int) -> str:
+    """The transport a battery of *n*-node topologies with *groups* metric
+    groups per replicate runs: ``"regenerate"`` or ``"shared"``.
+
+    :func:`forced_transport` decides when ``REPRO_TRANSPORT`` is set;
+    otherwise a run shares when *n* ≥ :data:`AUTO_SHARED_NODES` and
+    *groups* ≥ :data:`AUTO_SHARED_GROUPS`.
+    """
+    forced = forced_transport()
+    if forced is not None:
+        return forced
     if n >= AUTO_SHARED_NODES and groups >= AUTO_SHARED_GROUPS:
         return "shared"
     return "regenerate"
 
 
-def resolve_mp_context(context=None):
-    """Resolve an ``mp_context`` argument to an explicit multiprocessing
-    context object.
+def resolve_mp_context():
+    """The multiprocessing context a worker pool starts its processes
+    from: the ``REPRO_MP_START`` start method, else the platform default.
 
-    *context* may be a context object (returned as-is), a start-method
-    name (``"fork"`` / ``"spawn"`` / ``"forkserver"``), or ``None`` —
-    which consults the ``REPRO_MP_START`` environment variable and falls
-    back to the platform default.  :class:`~repro.core.battery.WorkerPool`
-    builds its executor from the result, so a host that changes its
-    default (or a CI job forcing ``spawn``) runs the same pools the tests
-    exercised.
+    :class:`~repro.core.battery.WorkerPool` builds its executor from the
+    result, so a host that changes its default (or a CI job forcing
+    ``spawn``) runs the same pools the tests exercised.
     """
-    if context is None:
-        context = os.environ.get(REPRO_MP_START_ENV, "").strip().lower() or None
-    if context is None:
-        return multiprocessing.get_context()
-    if isinstance(context, str):
-        try:
-            return multiprocessing.get_context(context)
-        except ValueError:
-            known = ", ".join(multiprocessing.get_all_start_methods())
-            raise ValueError(
-                f"unknown multiprocessing start method {context!r}; "
-                f"choose one of: {known}"
-            ) from None
-    return context
+    method = os.environ.get(REPRO_MP_START_ENV, "").strip().lower() or None
+    try:
+        return multiprocessing.get_context(method)
+    except ValueError:
+        known = ", ".join(multiprocessing.get_all_start_methods())
+        raise ValueError(
+            f"unknown multiprocessing start method {method!r} in "
+            f"{REPRO_MP_START_ENV}; choose one of: {known}"
+        ) from None
 
 
 # --------------------------------------------------------------------------

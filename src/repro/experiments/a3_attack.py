@@ -56,7 +56,6 @@ def run_a3(
     retries: int = 0,
     journal: Optional[str] = None,
     profile_dir: Optional[str] = None,
-    transport: str = "auto",
 ) -> ExperimentResult:
     """Random vs targeted removal sweeps per model.
 
@@ -89,7 +88,6 @@ def run_a3(
             retries=retries,
             journal=journal,
             profile_dir=profile_dir,
-            transport=transport,
         )
     with stage("A3", "reference", n=n):
         reference_graph = reference_as_map(n)

@@ -37,7 +37,6 @@ def run_t1(
     retries: int = 0,
     journal: Optional[str] = None,
     profile_dir: Optional[str] = None,
-    transport: str = "auto",
 ) -> ExperimentResult:
     """Score every roster model against the reference map.
 
@@ -45,8 +44,7 @@ def run_t1(
     a unit that still fails is recorded (failure table + notes) and its
     model is scored over the surviving replicates rather than aborting
     the whole comparison.  *journal* appends a JSONL event log of the run.
-    *transport* selects how topologies reach the metric workers
-    (``auto``/``regenerate``/``shared``, see
+    The notes record the transport the battery resolved (see
     :mod:`repro.core.transport`); numbers are identical across
     transports.
     """
@@ -68,7 +66,6 @@ def run_t1(
             retries=retries,
             journal=journal,
             profile_dir=profile_dir,
-            transport=transport,
         )
     reference_summary = comparison.target
 

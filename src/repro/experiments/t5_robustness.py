@@ -116,7 +116,6 @@ def run_t5(
     retries: int = 0,
     journal: Optional[str] = None,
     profile_dir: Optional[str] = None,
-    transport: str = "auto",
 ) -> ExperimentResult:
     """Rank the roster by robustness divergence from the reference map.
 
@@ -148,7 +147,6 @@ def run_t5(
             retries=retries,
             journal=journal,
             profile_dir=profile_dir,
-            transport=transport,
         )
 
     with stage("T5", "tables"):

@@ -50,8 +50,10 @@ def group_runs(
 def summarize_run(events: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     """Aggregate one run's events into a stats dict.
 
-    Keys: ``config`` (from battery_start), ``units_ok``/``units_failed``/
-    ``retries``/``cache_hits``, ``elapsed``, ``models`` (label → dict with
+    Keys: ``config`` (from battery_start or serve_start, including how
+    the run executed: ``transport``, ``transport_forced``, ``mp_start``),
+    ``units_ok``/``units_failed``/``retries``/``cache_hits``,
+    ``elapsed``, ``models`` (label → dict with
     units/seconds/max_rss_kb/cpu_seconds), ``groups`` (group → seconds,
     including ``generate``), ``workers`` (pid → busy seconds), ``skew``
     (max/mean worker busy ratio, 1.0 when balanced or trivial).
@@ -70,10 +72,13 @@ def summarize_run(events: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     }
     for event in events:
         kind = event.get("event")
-        if kind == "battery_start":
+        if kind in ("battery_start", "serve_start"):
             summary["config"] = {
                 key: event[key]
-                for key in ("models", "n", "seeds", "jobs", "timeout", "retries")
+                for key in (
+                    "models", "n", "seeds", "jobs", "timeout", "retries",
+                    "transport", "transport_forced", "mp_start",
+                )
                 if key in event
             }
         elif kind == "cache_hit":
@@ -145,10 +150,15 @@ def journal_summary_tables(
         cache = stats["cache"]
         probes = stats["cache_hits"] + cache.get("misses", 0)
         hit_rate = (stats["cache_hits"] / probes) if probes else 0.0
+        transport = str(config.get("transport", "?"))
+        if config.get("transport_forced"):
+            transport += " (forced)"  # by REPRO_TRANSPORT, not the size rule
         overview_rows = [
             ["models", ",".join(config.get("models", [])) or "?"],
             ["n", config.get("n", "?")],
             ["jobs", config.get("jobs", "?")],
+            ["transport", transport],
+            ["mp_start", config.get("mp_start", "?")],
             ["units ok/failed", f"{stats['units_ok']}/{stats['units_failed']}"],
             ["retries", stats["retries"]],
             ["cache hits", stats["cache_hits"]],

@@ -4,7 +4,6 @@ from .attack import (
     AttackStrategy,
     RemovalTrajectory,
     critical_fraction,
-    removal_sweep,
     victim_order,
 )
 from .epidemic import SisResult, endemic_prevalence, prevalence_curve, simulate_sis
@@ -20,7 +19,6 @@ from .sweep import (
 __all__ = [
     "AttackStrategy",
     "RemovalTrajectory",
-    "removal_sweep",
     "victim_order",
     "critical_fraction",
     "InflationTrajectory",

@@ -3,26 +3,25 @@
 The classic robustness result on internet maps: heavy-tailed topologies
 are extraordinarily tolerant of *random* node failure (the giant component
 survives removal of most nodes) yet fragile under *targeted* removal of the
-highest-degree hubs — a handful of ASes hold the map together.  The
-functions here run removal sweeps and report the giant-component fraction
-trajectory plus the critical fraction where it collapses.
+highest-degree hubs — a handful of ASes hold the map together.  This
+module holds the sweeps' vocabulary: the attack strategies, the victim
+order they imply, the giant-component fraction trajectory, and the
+critical fraction where it collapses.  The sweep itself is
+:func:`repro.resilience.sweep.percolation_sweep`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 from ..graph.betweenness import approximate_betweenness
 from ..graph.graph import Graph
-from ..graph.traversal import connected_components
-from ..stats.rng import SeedLike, make_rng
 
 __all__ = [
     "AttackStrategy",
     "RemovalTrajectory",
-    "removal_sweep",
     "victim_order",
     "critical_fraction",
 ]
@@ -66,13 +65,6 @@ class RemovalTrajectory:
         return best
 
 
-def _giant_fraction(graph: Graph, original_n: int) -> float:
-    if graph.num_nodes == 0 or original_n == 0:
-        return 0.0
-    components = connected_components(graph)
-    return (len(components[0]) if components else 0) / original_n
-
-
 def victim_order(
     graph: Graph, strategy: AttackStrategy, rng, betweenness_pivots: int = 100
 ) -> List[Node]:
@@ -83,7 +75,8 @@ def victim_order(
     ties fall to the earliest-inserted node id.  That makes the ordering a
     pure function of the graph, which is what lets the CSR sweep in
     :mod:`repro.resilience.sweep` (where array positions follow the same
-    iteration order) reproduce :func:`removal_sweep` bit-for-bit.
+    iteration order) reproduce the one-removal-at-a-time reference sweep
+    in ``tests/resilience/oracles.py`` bit-for-bit.
 
     Betweenness scores come from the CSR Brandes kernel, whose float sums
     can split by an ulp a tie that exact arithmetic would keep; the split
@@ -106,66 +99,6 @@ def victim_order(
         )
         return sorted(nodes, key=lambda n: -scores[n])
     raise ValueError(f"strategy {strategy} needs adaptive handling")
-
-
-def removal_sweep(
-    graph: Graph,
-    strategy: AttackStrategy = AttackStrategy.RANDOM,
-    max_fraction: float = 0.5,
-    steps: int = 20,
-    seed: SeedLike = 0,
-    betweenness_pivots: int = 100,
-) -> RemovalTrajectory:
-    """Remove up to *max_fraction* of nodes, measuring at *steps* points.
-
-    ``DEGREE`` recomputes the top-degree victim adaptively after every
-    removal batch (the strongest attack); the other strategies precompute
-    their ordering via :func:`victim_order`.  Equal degrees/betweenness are
-    always broken by node iteration order, so the sweep is a pure function
-    of (graph, strategy, seed) — the contract the vectorized sweep in
-    :mod:`repro.resilience.sweep` reproduces bit-for-bit.  The input graph
-    is never mutated.
-    """
-    if not 0 < max_fraction <= 1:
-        raise ValueError("max_fraction must be in (0, 1]")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    rng = make_rng(seed)
-    work = graph.copy()
-    original_n = graph.num_nodes
-    if original_n == 0:
-        raise ValueError("cannot attack an empty graph")
-
-    total_victims = int(max_fraction * original_n)
-    batch = max(total_victims // steps, 1)
-    adaptive = strategy is AttackStrategy.DEGREE
-    order: List[Node] = []
-    if not adaptive:
-        order = victim_order(work, strategy, rng, betweenness_pivots)
-
-    fractions = [0.0]
-    giants = [_giant_fraction(work, original_n)]
-    removed = 0
-    cursor = 0
-    while removed < total_victims:
-        for _ in range(min(batch, total_victims - removed)):
-            if adaptive:
-                # max() keeps the first maximal element, so equal degrees
-                # fall to the earliest surviving node in iteration order —
-                # the same deterministic tie-break as victim_order().
-                victim = max(work.nodes(), key=work.degree)
-            else:
-                victim = order[cursor]
-                cursor += 1
-            work.remove_node(victim)
-            removed += 1
-        fractions.append(removed / original_n)
-        giants.append(_giant_fraction(work, original_n))
-    return RemovalTrajectory(
-        strategy=strategy,
-        fractions_removed=tuple(fractions),
-        giant_fractions=tuple(giants),
-    )
 
 
 def critical_fraction(

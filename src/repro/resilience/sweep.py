@@ -3,11 +3,11 @@
 Percolation sweeps are the behavioral half of the comparison battery: a
 model earns its living not by matching scalar metrics but by *surviving*
 random failure and targeted attack the way the measured AS map does.  The
-reference sweep (:func:`repro.resilience.attack.removal_sweep`) recomputes
+reference sweep kept in ``tests/resilience/oracles.py`` recomputes
 connected components from scratch after every removal batch, which is
 O(steps × (N + E)) per sweep — too slow to run across the full 12-model
-registry at battery scale.  The kernels here run on the graph's cached
-CSR view:
+registry at battery scale.  :func:`percolation_sweep` and the other
+kernels here run on the graph's cached CSR view:
 
 * :func:`percolation_sweep` — node-removal percolation over the cached
   :class:`~repro.graph.csr.CSRView`.  The victim order is computed once
@@ -263,10 +263,15 @@ def percolation_sweep(
     """Node-removal percolation sweep by reverse union-find over the
     graph's cached CSR view.
 
-    Returns exactly the :class:`RemovalTrajectory` of
-    :func:`repro.resilience.attack.removal_sweep` for every strategy and
-    seed — the same victims, measured at the same checkpoints — without
-    recomputing components after each removal batch.
+    Remove up to *max_fraction* of the nodes, measuring at *steps* points.
+    ``DEGREE`` takes the top-degree survivor after every removal (the
+    strongest attack); the other strategies follow :func:`victim_order`.
+    Ties always break by node iteration order, so the sweep is a pure
+    function of (graph, strategy, seed); the input graph is never
+    mutated.  Returns exactly the :class:`RemovalTrajectory` of the
+    reference sweep in ``tests/resilience/oracles.py`` for every strategy
+    and seed — the same victims, measured at the same checkpoints —
+    without recomputing components after each removal batch.
     """
     _validate_sweep_args(graph, max_fraction, steps)
     with get_tracer().span(

@@ -115,7 +115,8 @@ class ServeDispatcher:
         Warm worker-pool size (processes, spawned once at startup).  Even
         at ``jobs=1`` units run in a worker process, never inline as a
         jobs=1 battery's do: a hung unit stays abandonable, and no unit
-        competes with the HTTP threads for the GIL.
+        competes with the HTTP threads for the GIL.  Workers start by
+        the ``REPRO_MP_START`` method, else the platform default.
     root:
         Service state directory — result cache cells under ``cells/``,
         with the snapshot spool beside them under ``cells/snapshots/``
@@ -140,7 +141,6 @@ class ServeDispatcher:
         root: Union[None, str, Path] = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         threads: Optional[int] = None,
-        mp_context=None,
         journal=None,
         unit_timeout: Optional[float] = None,
         retries: int = 1,
@@ -165,7 +165,7 @@ class ServeDispatcher:
         self.worlds_dir.mkdir(parents=True, exist_ok=True)
         self.unit_timeout = unit_timeout
         self.retries = retries
-        self.pool = WorkerPool(jobs, mp_context)
+        self.pool = WorkerPool(jobs)
         self.journal = resolve_journal(journal)
         self.run_id = self.journal.begin_run(
             {"serve": True, "jobs": jobs, "root": str(self.root)}
@@ -173,6 +173,7 @@ class ServeDispatcher:
         self.journal.emit(
             "serve_start", jobs=jobs, queue_limit=queue_limit,
             reaped_staging=self.reaped_at_start,
+            mp_start=self.pool.mp_context.get_start_method(),
         )
         self.started = time.monotonic()
         self._lock = threading.Lock()

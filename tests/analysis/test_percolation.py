@@ -13,7 +13,7 @@ from repro.analysis import (
 )
 from repro.generators import ErdosRenyiGnm, PfpGenerator
 from repro.graph import Graph, giant_component
-from repro.resilience import AttackStrategy, critical_fraction, percolation_sweep, removal_sweep
+from repro.resilience import AttackStrategy, critical_fraction, percolation_sweep
 
 
 class TestMolloyReed:
@@ -69,7 +69,7 @@ class TestCriticalFraction:
         # Removal below the predicted threshold must keep a giant.
         flat = giant_component(ErdosRenyiGnm(m=1600).generate(800, seed=4))
         predicted = critical_failure_fraction(flat)
-        sweep = removal_sweep(
+        sweep = percolation_sweep(
             flat, AttackStrategy.RANDOM, max_fraction=predicted * 0.6,
             steps=5, seed=5,
         )

@@ -31,6 +31,7 @@ from repro.core import (
     compare_models,
     run_battery,
 )
+from repro.core.transport import REPRO_MP_START_ENV, REPRO_TRANSPORT_ENV
 from repro.generators.barabasi_albert import BarabasiAlbertGenerator
 from repro.generators.base import TopologyGenerator
 from repro.stats.rng import derive_seed
@@ -233,14 +234,18 @@ class TestTimeout:
     # The spawn case pins that a cold pool's worker start-up (interpreter
     # start plus imports) is never charged to the first units' timeout.
     @pytest.mark.parametrize(
-        "jobs, mp_context",
+        "jobs, start_method",
         [
             pytest.param(1, None, id="1"),
             pytest.param(PARALLEL_JOBS, None, id=str(PARALLEL_JOBS)),
             pytest.param(PARALLEL_JOBS, "spawn", id=f"{PARALLEL_JOBS}-spawn"),
         ],
     )
-    def test_overrunning_unit_recorded_as_timeout(self, jobs, mp_context):
+    def test_overrunning_unit_recorded_as_timeout(
+        self, monkeypatch, jobs, start_method
+    ):
+        if start_method is not None:
+            monkeypatch.setenv(REPRO_MP_START_ENV, start_method)
         victim = unit_seed("sleepy", 0)
         roster = {
             "sleepy": SleepingGenerator(sleep_seeds=[victim], sleep_seconds=2.0),
@@ -248,7 +253,7 @@ class TestTimeout:
         }
         result = run_battery(
             roster, n=N, seeds=2, base_seed=BASE_SEED, jobs=jobs,
-            timeout=0.5, mp_context=mp_context, **FAST,
+            timeout=0.5, **FAST,
         )
         (failure,) = result.failures
         assert failure.model == "sleepy"
@@ -407,6 +412,20 @@ class TestJournal:
         assert {shape[0] for shape in shapes[1]} == {
             "unit_start", "unit_retry", "unit_fail", "unit_finish",
         }
+
+    def test_battery_start_says_how_the_run_executed(self, monkeypatch, tmp_path):
+        journal = tmp_path / "run.jsonl"
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "shared")
+        monkeypatch.setenv(REPRO_MP_START_ENV, "spawn")
+        run_battery(["barabasi-albert"], n=N, seeds=1, jobs=2, journal=journal, **FAST)
+        monkeypatch.delenv(REPRO_TRANSPORT_ENV)
+        run_battery(["barabasi-albert"], n=N, seeds=1, journal=journal, **FAST)
+        starts = [
+            (e["transport"], e["transport_forced"], e["mp_start"])
+            for e in RunJournal.read(journal) if e["event"] == "battery_start"
+        ]
+        # n=150 is below the size rule's threshold: regenerate, not forced.
+        assert starts == [("shared", True, "spawn"), ("regenerate", False, "inline")]
 
     def test_journal_records_cache_hits(self, tmp_path):
         journal = tmp_path / "run.jsonl"

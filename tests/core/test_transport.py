@@ -9,6 +9,7 @@ property-based round trip drives the handle over the historically nasty
 graph shapes: isolated nodes, mixed int/str ids, accumulated weights.
 """
 
+import inspect
 import json
 import multiprocessing
 import os
@@ -204,31 +205,22 @@ class TestAttachCacheLRU:
 
 
 class TestResolveTransport:
-    def test_explicit_choices_pass_through(self):
-        assert resolve_transport("regenerate", 10**6, 10) == "regenerate"
-        assert resolve_transport("shared", 10, 1) == "shared"
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            resolve_transport("teleport")
-
     def test_auto_threshold_on_n_and_groups(self, monkeypatch):
         monkeypatch.delenv(REPRO_TRANSPORT_ENV, raising=False)
-        assert resolve_transport("auto", AUTO_SHARED_NODES, AUTO_SHARED_GROUPS) == "shared"
-        assert resolve_transport("auto", AUTO_SHARED_NODES - 1, 6) == "regenerate"
-        assert resolve_transport("auto", AUTO_SHARED_NODES, AUTO_SHARED_GROUPS - 1) == "regenerate"
+        assert resolve_transport(AUTO_SHARED_NODES, AUTO_SHARED_GROUPS) == "shared"
+        assert resolve_transport(AUTO_SHARED_NODES - 1, 6) == "regenerate"
+        assert resolve_transport(AUTO_SHARED_NODES, AUTO_SHARED_GROUPS - 1) == "regenerate"
 
     def test_env_overrides_auto_but_not_explicit(self, monkeypatch):
         monkeypatch.setenv(REPRO_TRANSPORT_ENV, "shared")
-        assert resolve_transport("auto", 10, 1) == "shared"
-        assert resolve_transport("regenerate", 10**6, 10) == "regenerate"
+        assert resolve_transport(10, 1) == "shared"
         monkeypatch.setenv(REPRO_TRANSPORT_ENV, "regenerate")
-        assert resolve_transport("auto", 10**6, 10) == "regenerate"
+        assert resolve_transport(10**6, 10) == "regenerate"
 
     def test_bad_env_value_rejected(self, monkeypatch):
         monkeypatch.setenv(REPRO_TRANSPORT_ENV, "warp")
         with pytest.raises(ValueError, match=REPRO_TRANSPORT_ENV):
-            resolve_transport("auto", 10, 1)
+            resolve_transport(10, 1)
 
 
 class TestResolveMpContext:
@@ -237,19 +229,31 @@ class TestResolveMpContext:
         context = resolve_mp_context()
         assert context.get_start_method() == multiprocessing.get_start_method()
 
-    def test_name_and_context_accepted(self):
-        spawn = resolve_mp_context("spawn")
-        assert spawn.get_start_method() == "spawn"
-        assert resolve_mp_context(spawn) is spawn
-
     def test_env_consulted_when_unset(self, monkeypatch):
         monkeypatch.setenv(REPRO_MP_START_ENV, "spawn")
         assert resolve_mp_context().get_start_method() == "spawn"
-        assert resolve_mp_context("fork").get_start_method() == "fork"
 
-    def test_unknown_method_rejected(self):
+    def test_unknown_method_rejected(self, monkeypatch):
+        monkeypatch.setenv(REPRO_MP_START_ENV, "teleport")
         with pytest.raises(ValueError, match="start method"):
-            resolve_mp_context("teleport")
+            resolve_mp_context()
+
+
+class TestEnvironmentIsTheOnlyOverride:
+    def test_no_entry_point_takes_a_transport_or_start_method(self):
+        from repro.core import compare_models
+        from repro.core.battery import WorkerPool, pool_for
+        from repro.core.calibrate import grid_calibrate
+        from repro.experiments import run_a3, run_t1, run_t5
+        from repro.serve import ServeDispatcher
+
+        entry_points = [
+            run_battery, compare_models, grid_calibrate, ServeDispatcher,
+            WorkerPool, pool_for, run_t1, run_a3, run_t5,
+        ]
+        for entry_point in entry_points:
+            parameters = inspect.signature(entry_point).parameters
+            assert not {"transport", "mp_context"} & set(parameters), entry_point
 
 
 class TestSnapshotSpool:
@@ -330,12 +334,15 @@ class DyingGenerator(TopologyGenerator):
 
 
 class TestSharedBatteryContainment:
-    def test_crash_mid_battery_reaps_staging_on_pool_rebuild(self, tmp_path):
+    def test_crash_mid_battery_reaps_staging_on_pool_rebuild(
+        self, monkeypatch, tmp_path
+    ):
         """A worker dying mid-generation breaks the pool; the rebuild must
         reap orphaned snapshot staging directories, and the ephemeral
         transport machinery must not leak past the run."""
         from repro.stats.rng import derive_seed
 
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "shared")
         deadly = DyingGenerator()
         victim = derive_seed("battery-unit", "deadly", {"m": 2}, 150, 21, 0)
         deadly._die_seeds = frozenset([victim])
@@ -347,8 +354,7 @@ class TestSharedBatteryContainment:
         (orphan / "indices.npy").write_bytes(b"partial")
         result = run_battery(
             {"deadly": deadly, "ba": BarabasiAlbertGenerator(m=2)},
-            n=150, seeds=1, base_seed=21, jobs=2, cache=cache,
-            transport="shared", **FAST,
+            n=150, seeds=1, base_seed=21, jobs=2, cache=cache, **FAST,
         )
         assert not orphan.exists()
         assert [rec.model for rec in result.failures] == ["deadly"]
@@ -356,33 +362,28 @@ class TestSharedBatteryContainment:
 
     def test_ephemeral_spool_removed_after_uncached_run(self, monkeypatch, tmp_path):
         monkeypatch.setenv(REPRO_TRANSPORT_DIR_ENV, str(tmp_path))
-        result = run_battery(
-            ["barabasi-albert"], n=150, seeds=1, transport="shared", **FAST
-        )
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "shared")
+        result = run_battery(["barabasi-albert"], n=150, seeds=1, **FAST)
         assert result.transport == "shared"
         assert not result.failures
         assert list(tmp_path.iterdir()) == []
 
 
 class TestSpawnRegression:
-    def test_shared_battery_identical_under_spawn(self, tmp_path):
-        fork = run_battery(
-            ["barabasi-albert"], n=150, seeds=1, jobs=2,
-            transport="shared", mp_context="fork", **FAST,
-        )
-        spawn = run_battery(
-            ["barabasi-albert"], n=150, seeds=1, jobs=2,
-            transport="shared", mp_context="spawn", **FAST,
-        )
-        serial = run_battery(
-            ["barabasi-albert"], n=150, seeds=1, transport="regenerate", **FAST
-        )
+    def test_shared_battery_identical_under_spawn(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "shared")
+        monkeypatch.setenv(REPRO_MP_START_ENV, "fork")
+        fork = run_battery(["barabasi-albert"], n=150, seeds=1, jobs=2, **FAST)
+        monkeypatch.setenv(REPRO_MP_START_ENV, "spawn")
+        spawn = run_battery(["barabasi-albert"], n=150, seeds=1, jobs=2, **FAST)
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "regenerate")
+        serial = run_battery(["barabasi-albert"], n=150, seeds=1, **FAST)
         expected = serial.entries[0].summaries[0].as_dict()
         assert fork.entries[0].summaries[0].as_dict() == expected
         assert spawn.entries[0].summaries[0].as_dict() == expected
         assert not fork.failures and not spawn.failures
 
-    def test_calibrate_pool_identical_under_spawn(self):
+    def test_calibrate_pool_identical_under_spawn(self, monkeypatch):
         from repro.core.calibrate import grid_calibrate
         from repro.core.metrics import summarize
 
@@ -390,9 +391,10 @@ class TestSpawnRegression:
         serial = grid_calibrate(
             BarabasiAlbertGenerator, {"m": [1, 2]}, target, n=100, seeds=2
         )
+        monkeypatch.setenv(REPRO_MP_START_ENV, "spawn")
         spawned = grid_calibrate(
             BarabasiAlbertGenerator, {"m": [1, 2]}, target, n=100, seeds=2,
-            jobs=2, mp_context="spawn",
+            jobs=2,
         )
         assert spawned.trials == serial.trials
         assert spawned.best_params == serial.best_params

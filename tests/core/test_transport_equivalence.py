@@ -1,17 +1,19 @@
 """Transport equivalence: shared transport must be invisible in results.
 
-The contract mirrors the parallel runner's: ``transport="shared"`` (publish
+The contract mirrors the parallel runner's: the shared transport (publish
 each topology once, measure groups attach) must produce bit-identical
-``BatteryResult`` values to ``transport="regenerate"`` (each unit rebuilds
+``BatteryResult`` values to the regenerate transport (each unit rebuilds
 its own graph), write byte-identical cache cells under the same keys, and
 — the whole point — generate each (model, seed) topology exactly once,
-which the run journal proves.
+which the run journal proves.  Each run forces its transport through
+``REPRO_TRANSPORT``.
 """
 
 import json
 
 from repro.core import METRIC_GROUPS, make_generator, run_battery
 from repro.core.cache import ResultCache
+from repro.core.transport import REPRO_TRANSPORT_ENV
 
 from ..generators.test_common import MODEL_PARAMS
 from .test_parallel_battery import FAST, N, _assert_identical, _metric_dicts
@@ -40,15 +42,13 @@ def _events(journal_path, event=None, **match):
 
 
 class TestRegistryEquivalence:
-    def test_shared_bit_identical_across_registry(self):
+    def test_shared_bit_identical_across_registry(self, monkeypatch):
         roster = _registry_roster()
-        oracle = run_battery(
-            roster, n=N, seeds=SEEDS, base_seed=BASE_SEED,
-            transport="regenerate", **FAST,
-        )
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "regenerate")
+        oracle = run_battery(roster, n=N, seeds=SEEDS, base_seed=BASE_SEED, **FAST)
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "shared")
         shared = run_battery(
-            roster, n=N, seeds=SEEDS, base_seed=BASE_SEED, jobs=2,
-            transport="shared", **FAST,
+            roster, n=N, seeds=SEEDS, base_seed=BASE_SEED, jobs=2, **FAST,
         )
         assert oracle.transport == "regenerate"
         assert shared.transport == "shared"
@@ -68,28 +68,30 @@ class TestCacheCellEquivalence:
             if "snapshots" not in p.relative_to(root).parts
         }
 
-    def test_cells_byte_identical_across_transports(self, tmp_path):
+    def test_cells_byte_identical_across_transports(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "regenerate")
         run_battery(
             self.MODELS, n=N, seeds=SEEDS, base_seed=BASE_SEED,
-            cache=tmp_path / "regen", transport="regenerate", **FAST,
+            cache=tmp_path / "regen", **FAST,
         )
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "shared")
         run_battery(
             self.MODELS, n=N, seeds=SEEDS, base_seed=BASE_SEED,
-            cache=tmp_path / "shared", transport="shared", **FAST,
+            cache=tmp_path / "shared", **FAST,
         )
         regen = self._cells(tmp_path / "regen")
         shared = self._cells(tmp_path / "shared")
         assert regen and regen == shared
 
-    def test_shared_run_fully_warm_on_regenerate_cache(self, tmp_path):
+    def test_shared_run_fully_warm_on_regenerate_cache(self, monkeypatch, tmp_path):
         cache = ResultCache(tmp_path)
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "regenerate")
         cold = run_battery(
-            self.MODELS, n=N, seeds=SEEDS, base_seed=BASE_SEED,
-            cache=cache, transport="regenerate", **FAST,
+            self.MODELS, n=N, seeds=SEEDS, base_seed=BASE_SEED, cache=cache, **FAST,
         )
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "shared")
         warm = run_battery(
-            self.MODELS, n=N, seeds=SEEDS, base_seed=BASE_SEED,
-            cache=cache, transport="shared", **FAST,
+            self.MODELS, n=N, seeds=SEEDS, base_seed=BASE_SEED, cache=cache, **FAST,
         )
         cells = len(self.MODELS) * SEEDS * len(METRIC_GROUPS)
         assert warm.stats.hits == cells
@@ -100,12 +102,12 @@ class TestCacheCellEquivalence:
 class TestGenerationCounts:
     MODELS = ["barabasi-albert", "glp"]
 
-    def test_one_generation_per_model_seed(self, tmp_path):
+    def test_one_generation_per_model_seed(self, monkeypatch, tmp_path):
         journal = tmp_path / "journal.jsonl"
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "shared")
         run_battery(
             self.MODELS, n=N, seeds=2, base_seed=BASE_SEED, jobs=2,
-            cache=tmp_path / "cache", journal=journal,
-            transport="shared", **FAST,
+            cache=tmp_path / "cache", journal=journal, **FAST,
         )
         starts = _events(journal, "unit_start", kind="generate")
         pairs = [(rec["model"], rec["seed"]) for rec in starts]
@@ -115,12 +117,13 @@ class TestGenerationCounts:
         measures = _events(journal, "unit_start", kind="measure")
         assert len(measures) == len(self.MODELS) * 2 * len(METRIC_GROUPS)
 
-    def test_spool_hit_skips_regeneration(self, tmp_path):
+    def test_spool_hit_skips_regeneration(self, monkeypatch, tmp_path):
         journal = tmp_path / "journal.jsonl"
         cache = tmp_path / "cache"
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "shared")
         run_battery(
             self.MODELS, n=N, seeds=1, base_seed=BASE_SEED,
-            cache=cache, journal=journal, transport="shared", **FAST,
+            cache=cache, journal=journal, **FAST,
         )
         # Evict metric cells but keep snapshots: forces re-measurement
         # against the persisted spool, with zero regeneration.
@@ -129,7 +132,7 @@ class TestGenerationCounts:
                 cell.unlink()
         rerun = run_battery(
             self.MODELS, n=N, seeds=1, base_seed=BASE_SEED,
-            cache=cache, journal=journal, transport="shared", **FAST,
+            cache=cache, journal=journal, **FAST,
         )
         assert not rerun.failures
         lines = journal.read_text(encoding="utf-8").splitlines()

@@ -104,6 +104,25 @@ class TestJournalSummaryTables:
         assert fields["cache hit rate"] == 0.25  # 1 hit / (1 hit + 3 misses)
         assert fields["units ok/failed"] == "2/1"
 
+    def test_overview_says_how_the_run_executed(self):
+        def overview(start):
+            _, _, rows = journal_summary_tables([start])[0]
+            fields = dict((row[0], row[1]) for row in rows)
+            return fields["transport"], fields["mp_start"]
+
+        forced = dict(
+            _events()[0], transport="shared", transport_forced=True,
+            mp_start="spawn",
+        )
+        chosen = dict(
+            _events()[0], transport="regenerate", transport_forced=False,
+            mp_start="inline",
+        )
+        served = {"event": "serve_start", "run_id": "s", "jobs": 2, "mp_start": "fork"}
+        assert overview(forced) == ("shared (forced)", "spawn")
+        assert overview(chosen) == ("regenerate", "inline")
+        assert overview(served) == ("?", "fork")
+
 
 class TestTailLines:
     def test_last_count_events_one_line_each(self):

@@ -1,4 +1,4 @@
-"""Tests for removal sweeps."""
+"""Tests for removal sweeps (:func:`percolation_sweep`)."""
 
 import math
 
@@ -9,7 +9,7 @@ from repro.graph import Graph, giant_component
 from repro.resilience import (
     AttackStrategy,
     critical_fraction,
-    removal_sweep,
+    percolation_sweep,
     victim_order,
 )
 from repro.stats.rng import make_rng
@@ -22,66 +22,66 @@ def ba_graph():
 
 class TestRemovalSweep:
     def test_starts_at_full_giant(self, ba_graph):
-        run = removal_sweep(ba_graph, AttackStrategy.RANDOM, seed=2)
+        run = percolation_sweep(ba_graph, AttackStrategy.RANDOM, seed=2)
         assert run.fractions_removed[0] == 0.0
         assert run.giant_fractions[0] == 1.0
 
     def test_fractions_monotone(self, ba_graph):
-        run = removal_sweep(ba_graph, AttackStrategy.RANDOM, seed=3)
+        run = percolation_sweep(ba_graph, AttackStrategy.RANDOM, seed=3)
         fr = run.fractions_removed
         assert all(fr[i] < fr[i + 1] for i in range(len(fr) - 1))
 
     def test_input_graph_untouched(self, ba_graph):
         before = ba_graph.num_nodes
-        removal_sweep(ba_graph, AttackStrategy.DEGREE, seed=4)
+        percolation_sweep(ba_graph, AttackStrategy.DEGREE, seed=4)
         assert ba_graph.num_nodes == before
 
     def test_reaches_max_fraction(self, ba_graph):
-        run = removal_sweep(ba_graph, max_fraction=0.3, steps=5, seed=5)
+        run = percolation_sweep(ba_graph, max_fraction=0.3, steps=5, seed=5)
         assert run.fractions_removed[-1] == pytest.approx(0.3, abs=0.02)
 
     def test_targeted_attack_beats_random(self, ba_graph):
-        random_run = removal_sweep(
+        random_run = percolation_sweep(
             ba_graph, AttackStrategy.RANDOM, max_fraction=0.3, seed=6
         )
-        attack_run = removal_sweep(
+        attack_run = percolation_sweep(
             ba_graph, AttackStrategy.DEGREE, max_fraction=0.3, seed=6
         )
         assert attack_run.giant_at(0.3) < random_run.giant_at(0.3)
 
     def test_static_degree_close_to_adaptive(self, ba_graph):
-        adaptive = removal_sweep(
+        adaptive = percolation_sweep(
             ba_graph, AttackStrategy.DEGREE, max_fraction=0.2, seed=7
         )
-        static = removal_sweep(
+        static = percolation_sweep(
             ba_graph, AttackStrategy.DEGREE_STATIC, max_fraction=0.2, seed=7
         )
         assert static.giant_at(0.2) <= adaptive.giant_at(0.2) + 0.3
 
     def test_betweenness_strategy_effective(self, ba_graph):
-        random_run = removal_sweep(
+        random_run = percolation_sweep(
             ba_graph, AttackStrategy.RANDOM, max_fraction=0.2, seed=8
         )
-        bc_run = removal_sweep(
+        bc_run = percolation_sweep(
             ba_graph, AttackStrategy.BETWEENNESS, max_fraction=0.2, seed=8
         )
         assert bc_run.giant_at(0.2) < random_run.giant_at(0.2)
 
     def test_random_reproducible(self, ba_graph):
-        a = removal_sweep(ba_graph, AttackStrategy.RANDOM, seed=9)
-        b = removal_sweep(ba_graph, AttackStrategy.RANDOM, seed=9)
+        a = percolation_sweep(ba_graph, AttackStrategy.RANDOM, seed=9)
+        b = percolation_sweep(ba_graph, AttackStrategy.RANDOM, seed=9)
         assert a.giant_fractions == b.giant_fractions
 
     def test_validation(self, ba_graph):
         with pytest.raises(ValueError):
-            removal_sweep(ba_graph, max_fraction=0.0)
+            percolation_sweep(ba_graph, max_fraction=0.0)
         with pytest.raises(ValueError):
-            removal_sweep(ba_graph, steps=0)
+            percolation_sweep(ba_graph, steps=0)
         with pytest.raises(ValueError):
-            removal_sweep(Graph())
+            percolation_sweep(Graph())
 
     def test_giant_at_interpolates(self, ba_graph):
-        run = removal_sweep(ba_graph, AttackStrategy.RANDOM, steps=10, seed=10)
+        run = percolation_sweep(ba_graph, AttackStrategy.RANDOM, steps=10, seed=10)
         assert run.giant_at(0.0) == 1.0
         assert run.giant_at(1.0) == run.giant_fractions[-1]
 
@@ -126,7 +126,7 @@ class TestTieBreaking:
 
     def test_adaptive_sweep_deterministic_on_ties(self, tied_graph):
         runs = [
-            removal_sweep(
+            percolation_sweep(
                 tied_graph, AttackStrategy.DEGREE, max_fraction=1.0, steps=4,
                 seed=0,
             )
@@ -147,7 +147,7 @@ class TestTieBreaking:
 
 class TestCriticalFraction:
     def test_attack_collapses_heavy_tail(self, ba_graph):
-        run = removal_sweep(
+        run = percolation_sweep(
             ba_graph, AttackStrategy.DEGREE, max_fraction=0.6, steps=30, seed=11
         )
         critical = critical_fraction(run)
@@ -155,12 +155,12 @@ class TestCriticalFraction:
         assert critical < 0.6
 
     def test_random_failure_no_collapse_on_heavy_tail(self, ba_graph):
-        run = removal_sweep(
+        run = percolation_sweep(
             ba_graph, AttackStrategy.RANDOM, max_fraction=0.5, steps=20, seed=12
         )
         assert critical_fraction(run) is None
 
     def test_threshold_validation(self, ba_graph):
-        run = removal_sweep(ba_graph, steps=2, seed=13)
+        run = percolation_sweep(ba_graph, steps=2, seed=13)
         with pytest.raises(ValueError):
             critical_fraction(run, collapse_threshold=0.0)

@@ -1,8 +1,7 @@
 """Percolation equivalence suite: the CSR sweeps against their oracles.
 
 The vectorized robustness battery (:mod:`repro.resilience.sweep`) promises
-bit-for-bit agreement with the reference sweep
-(:func:`repro.resilience.attack.removal_sweep`) and the loops in
+bit-for-bit agreement with the reference sweep and loops in
 :mod:`tests.resilience.oracles` on every strategy, seed, and graph shape.
 These property tests enforce it on hypothesis-generated graphs covering
 isolated nodes, multi-component graphs, and duplicate-degree
@@ -29,14 +28,13 @@ from repro.resilience import (
     link_redundancy,
     path_inflation_sweep,
     percolation_sweep,
-    removal_sweep,
     robustness_summary,
     shortcut_fraction,
 )
 from repro.stats.rng import derive_seed, make_rng
 
 from ..graph.oracles import distance_batch, reference
-from .oracles import ORACLES
+from .oracles import ORACLES, removal_sweep
 
 
 def oracle(fn, *args, **kwargs):

@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.core import RunJournal, registry, run_battery
+from repro.core.transport import REPRO_TRANSPORT_ENV
 from repro.generators.barabasi_albert import BarabasiAlbertGenerator
 from repro.generators.base import TopologyGenerator
 from repro.obs import get_registry
@@ -54,11 +55,12 @@ class SleepyGenerator(TopologyGenerator):
 
 
 class TestServedEqualsBattery:
-    def test_battery_cells_and_snapshots_answer_the_service(self, tmp_path):
+    def test_battery_cells_and_snapshots_answer_the_service(
+        self, monkeypatch, tmp_path
+    ):
         root = tmp_path / "root"
-        battery = run_battery(
-            MODEL, n=N, seeds=2, cache=root / "cells", transport="shared"
-        )
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "shared")
+        battery = run_battery(MODEL, n=N, seeds=2, cache=root / "cells")
         (entry,) = battery.entries
         dispatcher = ServeDispatcher(jobs=1, root=root, threads=1)
         try:
@@ -73,7 +75,7 @@ class TestServedEqualsBattery:
         finally:
             dispatcher.shutdown()
 
-    def test_served_generation_is_a_battery_snapshot_hit(self, tmp_path):
+    def test_served_generation_is_a_battery_snapshot_hit(self, monkeypatch, tmp_path):
         root = tmp_path / "root"
         dispatcher = ServeDispatcher(jobs=1, root=root, threads=1)
         try:
@@ -82,10 +84,8 @@ class TestServedEqualsBattery:
         finally:
             dispatcher.shutdown()
         journal = tmp_path / "battery.jsonl"
-        result = run_battery(
-            MODEL, n=N, seeds=1, cache=root / "cells", transport="shared",
-            journal=journal,
-        )
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "shared")
+        result = run_battery(MODEL, n=N, seeds=1, cache=root / "cells", journal=journal)
         assert not result.failures
         assert _events(journal, "unit_start", kind="generate") == []
         assert len(_events(journal, "snapshot_hit")) == 1

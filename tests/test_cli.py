@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, coerce_value, main
+from repro.core import RunJournal
+from repro.core.transport import REPRO_TRANSPORT_ENV
 
 
 class TestCoerce:
@@ -126,6 +128,24 @@ class TestBatteryCommand:
         with pytest.raises(ValueError):
             main(["battery", "barabasi-albert", "-n", "300",
                   "--seeds", "1", "--retries", "-2"])
+
+    def test_environment_forces_the_shared_transport(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        journal = tmp_path / "run.jsonl"
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "shared")
+        assert main(["battery", "barabasi-albert", "-n", "150", "--seeds", "1",
+                     "--journal", str(journal)]) == 0
+        events = RunJournal.read(journal)
+        (start,) = [e for e in events if e["event"] == "battery_start"]
+        assert (start["transport"], start["transport_forced"]) == ("shared", True)
+        kinds = {e.get("kind") for e in events if e["event"] == "unit_start"}
+        assert {"generate", "measure"} <= kinds
+
+    def test_transport_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["battery", "barabasi-albert", "-n", "150", "--transport", "shared"])
+        assert excinfo.value.code == 2
 
 
 class TestObservabilityFlags:
