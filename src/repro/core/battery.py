@@ -597,7 +597,7 @@ def topology_task(
     plan.handle = spool.probe(plan.gen_key)
     if plan.handle is not None:
         return None
-    return unit_task(plan, spool_path=str(spool.path_for(plan.gen_key)), **obs)
+    return unit_task(plan, spool_path=str(spool.publish_path(plan.gen_key)), **obs)
 
 
 def settle_unit(

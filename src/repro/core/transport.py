@@ -378,6 +378,18 @@ class SnapshotSpool:
         """Where the snapshot for *key* lives (fan-out like the cache)."""
         return self.root / key[:2] / key
 
+    def publish_path(self, key: str) -> Path:
+        """:meth:`path_for` *key*, with the spool root (re)created.
+
+        Only the spool's owner calls this, before it publishes or hands a
+        generate unit its path: :func:`~repro.store.snapshot.save_csr_snapshot`
+        never creates a missing root, so a persistent root deleted between
+        runs is republished, while an ephemeral root that :meth:`cleanup`
+        removed is not recreated by an abandoned worker's late publish.
+        """
+        self.root.mkdir(parents=True, exist_ok=True)
+        return self.path_for(key)
+
     def probe(self, key: str) -> Optional[SharedGraphHandle]:
         """A handle for *key*'s already-published snapshot, or ``None``.
 
@@ -410,13 +422,13 @@ class SnapshotSpool:
         return handle
 
     def publish(self, graph: Graph, key: str, name: str = "") -> SharedGraphHandle:
-        """Publish *graph* under *key* (atomic; safe to call from workers).
+        """Publish *graph* under *key* (atomic) from the spool's owner.
 
-        The parent's refcount bookkeeping only happens when the publish
-        runs in the spool-owning process; worker-side publishes are
-        adopted by the parent via :meth:`adopt`.
+        Workers publish with :func:`publish_graph` at the path the owner
+        handed them (:meth:`publish_path`), and the owner adopts the
+        result via :meth:`adopt`.
         """
-        handle = publish_graph(graph, self.path_for(key), name=name)
+        handle = publish_graph(graph, self.publish_path(key), name=name)
         self._remember(key, handle)
         return handle
 

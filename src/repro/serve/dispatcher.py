@@ -10,15 +10,24 @@ A :class:`ServeDispatcher` owns everything long-lived about the service:
   :class:`~repro.core.transport.SnapshotSpool` under one service root, so
   repeat requests are cache reads and repeat topologies are mmap attaches
   with **zero generations**;
-* a bounded job queue drained by dispatcher threads, which rejects
-  excess load (:class:`ServeBusy` → HTTP 503) instead of building an
-  unbounded backlog;
+* a **hit path**: :meth:`ServeDispatcher.submit` probes a ``summarize``
+  request's cells on the thread that received it (in the service, its
+  HTTP thread), and when every group is cached answers it there — after
+  the first read of a cell, from the cache's memory tier — so a cached
+  request costs no queue hop and no dispatcher thread;
+* a bounded job queue drained by dispatcher threads, which takes only
+  requests with work to do (a ``summarize`` with pending groups, carrying
+  its probe result; every ``generate``, ``compare`` and world op) and
+  rejects excess load (:class:`ServeBusy` → HTTP 503) instead of building
+  an unbounded backlog, so a full queue sheds compute only;
 * a **request coalescer**: in-flight requests are content-addressed on
   the same canonical payloads as battery cache cells
   (:func:`repro.core.battery.cell_payload`), so a thundering herd of
   identical ``summarize(model, n, seed)`` calls collapses onto one
   computation whose result fans out to every waiter
-  (``serve.coalesce.hits`` counts the collapsed arrivals);
+  (``serve.coalesce.hits`` counts the collapsed arrivals).  A request is
+  in flight from its coalescing check until its future resolves: for a
+  cached ``summarize`` that window is its probe;
 * a second, finer coalescer on topology **generations**
   (:func:`repro.core.battery.generation_payload` keys), so two distinct
   requests needing the same not-yet-spooled topology trigger one
@@ -124,8 +133,8 @@ class ServeDispatcher:
         under ``worlds/``.  A private temp directory (removed at shutdown)
         when omitted.
     queue_limit:
-        Bounded job-queue depth; submits beyond it raise
-        :class:`ServeBusy`.
+        Bounded job-queue depth; submits with work to do beyond it raise
+        :class:`ServeBusy` (a cached ``summarize`` never queues).
     threads:
         Dispatcher threads draining the queue (default: ``jobs``).
     unit_timeout / retries:
@@ -228,13 +237,17 @@ class ServeDispatcher:
     # ----------------------------------------------------- submit / coalesce
 
     def submit(self, op: str, params: Optional[Mapping[str, Any]] = None) -> Future:
-        """Enqueue one request; returns the (possibly shared) future.
+        """Answer or enqueue one request; returns the (possibly shared) future.
 
         Normalization (model resolution, cell-key derivation) happens
         here, synchronously, so a malformed request fails fast with
         :class:`ServeError` and never occupies queue space.  An identical
         in-flight request absorbs this one: the caller gets the existing
-        future and ``serve.coalesce.hits`` is incremented.
+        future and ``serve.coalesce.hits`` is incremented.  A ``summarize``
+        then probes its cells on the calling thread; with every group
+        cached it is answered there and the returned future is already
+        done.  Only a request with work to do takes queue space, so only
+        such a request is shed (:class:`ServeBusy`) when the queue is full.
         """
         plan = self._plan(op, dict(params or {}))
         key = plan["key"]
@@ -247,17 +260,29 @@ class ServeDispatcher:
                 flight.waiters += 1
                 registry.counter("serve.coalesce.hits").inc()
                 return flight.future
+            # Registered before the probe, so identical arrivals during it
+            # coalesce onto this flight.
             flight = _Flight()
             self._inflight[key] = flight
+        if op == "summarize":
+            started = time.perf_counter()
+            try:
+                plan["cached"] = probe_cells(plan["plan"], self.cache)
+            except BaseException as exc:
+                self._abandon(key, flight, exc)
+                raise
+            if not plan["plan"].pending:
+                self._answer(key, plan, flight, started, queued=False)
+                return flight.future
         try:
             self._queue.put_nowait((key, plan, flight))
         except queue.Full:
-            with self._lock:
-                self._inflight.pop(key, None)
             registry.counter("serve.rejected").inc()
-            raise ServeBusy(
+            busy = ServeBusy(
                 f"job queue full ({self._queue.maxsize} pending); retry later"
             )
+            self._abandon(key, flight, busy)
+            raise busy
         registry.counter("serve.enqueued").inc()
         registry.gauge("serve.queue.depth").set(self._queue.qsize())
         return flight.future
@@ -272,39 +297,56 @@ class ServeDispatcher:
         return self.submit(op, params).result(timeout)
 
     def _drain(self) -> None:
-        registry = get_registry()
-        tracer = get_tracer()
         while True:
             item = self._queue.get()
             if item is None:
                 return
             key, plan, flight = item
-            registry.gauge("serve.queue.depth").set(self._queue.qsize())
-            started = time.perf_counter()
-            with tracer.span("serve.request", op=plan["op"], key=key[:12]):
-                try:
-                    result = self._execute(plan)
-                except Exception as exc:
-                    registry.counter("serve.errors").inc()
-                    self.journal.emit(
-                        "serve_request_fail", op=plan["op"], error=repr(exc)
-                    )
-                    flight.future.set_exception(exc)
-                else:
-                    elapsed = time.perf_counter() - started
-                    registry.counter("serve.requests").inc()
-                    registry.counter(f"serve.requests.{plan['op']}").inc()
-                    registry.histogram("serve.request.seconds").observe(elapsed)
-                    self.journal.emit(
-                        "serve_request", op=plan["op"], seconds=round(elapsed, 6),
-                        waiters=flight.waiters,
-                    )
-                    flight.future.set_result(result)
-            # Pop only after the future resolves: identical arrivals in
-            # the window between resolution and pop still coalesce onto
-            # the already-resolved future (an immediate hit).
-            with self._lock:
-                self._inflight.pop(key, None)
+            get_registry().gauge("serve.queue.depth").set(self._queue.qsize())
+            self._answer(key, plan, flight, time.perf_counter(), queued=True)
+
+    def _answer(
+        self, key: str, plan: Dict[str, Any], flight: _Flight,
+        started: float, queued: bool,
+    ) -> None:
+        """Execute *plan* and settle its flight, on whichever thread holds
+        it: the calling thread for a cached ``summarize``, else a
+        dispatcher thread (*queued*, recorded on the ``serve.request``
+        span and the journal event).  ``serve.request.seconds`` counts
+        from *started*, so a cached answer's includes its probe."""
+        registry = get_registry()
+        op = plan["op"]
+        with get_tracer().span("serve.request", op=op, key=key[:12], queued=queued):
+            try:
+                result = self._execute(plan)
+            except Exception as exc:
+                registry.counter("serve.errors").inc()
+                self.journal.emit(
+                    "serve_request_fail", op=op, error=repr(exc), queued=queued
+                )
+                flight.future.set_exception(exc)
+            else:
+                elapsed = time.perf_counter() - started
+                registry.counter("serve.requests").inc()
+                registry.counter(f"serve.requests.{op}").inc()
+                registry.histogram("serve.request.seconds").observe(elapsed)
+                self.journal.emit(
+                    "serve_request", op=op, seconds=round(elapsed, 6),
+                    waiters=flight.waiters, queued=queued,
+                )
+                flight.future.set_result(result)
+        # Pop only after the future resolves: identical arrivals in
+        # the window between resolution and pop still coalesce onto
+        # the already-resolved future (an immediate hit).
+        with self._lock:
+            self._inflight.pop(key, None)
+
+    def _abandon(self, key: str, flight: _Flight, exc: BaseException) -> None:
+        """Fail a flight that never reached execution: every waiter that
+        coalesced onto it gets *exc*, and the key is free again."""
+        flight.future.set_exception(exc)
+        with self._lock:
+            self._inflight.pop(key, None)
 
     # -------------------------------------------------------------- planning
 
@@ -417,7 +459,7 @@ class ServeDispatcher:
     def _execute(self, plan: Dict[str, Any]) -> Dict[str, Any]:
         op = plan["op"]
         if op == "summarize":
-            return self._execute_summarize(plan["plan"])
+            return self._execute_summarize(plan["plan"], plan["cached"])
         if op == "generate":
             return self._execute_generate(plan["plan"])
         if op == "compare":
@@ -498,13 +540,14 @@ class ServeDispatcher:
                 self._gen_inflight.pop(plan.gen_key, None)
 
     def _execute_summarize(
-        self, plan: CellPlan, world_store: Optional[GraphStore] = None
+        self, plan: CellPlan, cached: List[str],
+        world_store: Optional[GraphStore] = None,
     ) -> Dict[str, Any]:
-        """Probe, then measure every pending group in one unit against the
-        plan's topology — the spool's (generated at most once), or the
-        *world_store*'s own mmap snapshot."""
+        """Measure every pending group of a probed *plan* (*cached* names
+        its hit groups) in one unit against the plan's topology — the
+        spool's (generated at most once), or the *world_store*'s own mmap
+        snapshot."""
         registry = get_registry()
-        cached = probe_cells(plan, self.cache)
         registry.counter("serve.cells.cached").inc(len(cached))
         generated = False
         if plan.pending:
@@ -547,7 +590,7 @@ class ServeDispatcher:
         # our own queue — so compare can't starve the dispatcher threads.
         with get_tracer().span("serve.target", n=plan.n):
             target = summarize_target(None, plan.n, self.cache, SUMMARIZE_DEFAULTS)
-        summary_result = self._execute_summarize(plan)
+        summary_result = self._execute_summarize(plan, probe_cells(plan, self.cache))
         summary = TopologySummary.from_dict(plan.label, summary_result["values"])
         comparison = compare_summaries(summary, target)
         return {
@@ -646,7 +689,9 @@ class ServeDispatcher:
             generator, generator.num_nodes, seed, groups, SUMMARIZE_DEFAULTS,
             label=f"world-{world}",
         )
-        result = self._execute_summarize(plan, world_store=store)
+        result = self._execute_summarize(
+            plan, probe_cells(plan, self.cache), world_store=store
+        )
         del result["model"]
         return {"world": world, **result}
 

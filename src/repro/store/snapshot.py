@@ -67,13 +67,17 @@ def save_csr_snapshot(
     An existing snapshot at *path* is replaced atomically (build into a
     ``.tmp`` sibling, then rename).  *fingerprint* and *name* are stamped
     into ``meta.json`` so consumers can key caches on the snapshot without
-    loading the graph.
+    loading the graph.  A missing parent directory is created, a missing
+    grandparent is not (``FileNotFoundError``): a spool's fan-out appears
+    on demand, but a removed spool root stays removed, so a publish that
+    outlives its run cannot recreate the spool it was writing into.
     """
     path = Path(path)
     staging = path.with_name(path.name + ".tmp")
     if staging.exists():
         shutil.rmtree(staging)
-    staging.mkdir(parents=True)
+    path.parent.mkdir(exist_ok=True)
+    staging.mkdir()
     np.save(staging / "indptr.npy", np.asarray(view.indptr, dtype=np.int64))
     np.save(staging / "indices.npy", np.asarray(view.indices, dtype=np.int64))
     np.save(staging / "weights.npy", np.asarray(view.weights, dtype=np.float64))

@@ -2,10 +2,13 @@
 
 import json
 import math
+import sys
+import threading
 
 import pytest
 
 from repro.core import NullCache, ResultCache, canonical_key, run_battery
+from repro.core import cache as cache_module
 from repro.core.battery import cell_payload
 
 SUM_PARAMS = {"path_sample_threshold": 1500, "path_samples": 400, "min_tail": 50}
@@ -147,6 +150,103 @@ class TestResultCache:
         assert counters.get("transport.snapshot.corrupt", 0) == len(spooled)
         assert second.stats.hits == 0
         assert first.entries[0].summaries == second.entries[0].summaries
+
+
+class TestMemoryTier:
+    """A cache answers a repeat get of an entry it verified on read from
+    memory, never from a stale or foreign source."""
+
+    def test_remembered_entry_outlives_its_file(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        payload = _payload()
+        key = canonical_key(payload)
+        cache.put(key, {"triangles": 12}, payload)
+        assert cache.get(key, payload) == {"triangles": 12}
+        cache._path(key).unlink()
+        assert cache.get(key, payload) == {"triangles": 12}
+        assert cache.stats.hits == 2 and cache.stats.corrupt == 0
+        # A new instance (as in a new process) reads the disk again.
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(key, payload) is None
+        assert fresh.stats.misses == 1
+
+    def test_other_payload_reads_the_disk(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        payload = _payload()
+        key = canonical_key(payload)
+        cache.put(key, {"triangles": 12}, payload)
+        assert cache.get(key, payload) == {"triangles": 12}
+        assert cache.get(key, payload) == {"triangles": 12}
+        assert cache.get(key, _payload(seed=999)) is None
+        assert cache.stats.corrupt == 1
+
+    def test_answers_are_copies(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        payload = _payload()
+        key = canonical_key(payload)
+        cache.put(key, {"triangles": 12, "curve": [1, {"x": 2}]}, payload)
+        for _ in range(2):
+            value = cache.get(key, payload)
+            value["triangles"] = -1
+            value["curve"][1]["x"] = -2
+        assert cache.get(key, payload) == {"triangles": 12, "curve": [1, {"x": 2}]}
+
+    def test_bound_holds_and_each_get_returns_its_own_value(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 8)
+        bound = cache_module.MEMORY_ENTRIES
+        cache = ResultCache(tmp_path)
+        entries = [
+            (canonical_key(_payload(seed=seed)), _payload(seed=seed))
+            for seed in range(bound + 5)
+        ]
+        for seed, (key, payload) in enumerate(entries):
+            cache.put(key, {"seed": seed}, payload)
+        for seed, (key, payload) in enumerate(entries):
+            assert cache.get(key, payload) == {"seed": seed}
+        for key, _ in entries:
+            cache._path(key).unlink()
+        hits = cache.stats.hits
+        for seed, (key, payload) in enumerate(entries):
+            assert cache.get(key, payload) in (None, {"seed": seed})
+        # Only the last `bound` keys read are remembered.
+        assert cache.stats.hits - hits == bound
+
+    def test_concurrent_gets_under_eviction(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 4)
+        cache = ResultCache(tmp_path)
+        entries = [
+            (canonical_key(_payload(seed=seed)), _payload(seed=seed))
+            for seed in range(16)
+        ]
+        for seed, (key, payload) in enumerate(entries):
+            cache.put(key, {"seed": seed}, payload)
+        wrong = []
+
+        def reader(offset):
+            try:
+                for i in range(1000):
+                    seed = (offset + 7 * i) % len(entries)
+                    key, payload = entries[seed]
+                    if cache.get(key, payload) != {"seed": seed}:
+                        wrong.append(seed)
+            except Exception as exc:  # an unguarded LRU raises KeyError
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(cache._memory) <= 4
 
 
 class TestNullCache:

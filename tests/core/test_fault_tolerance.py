@@ -31,7 +31,11 @@ from repro.core import (
     compare_models,
     run_battery,
 )
-from repro.core.transport import REPRO_MP_START_ENV, REPRO_TRANSPORT_ENV
+from repro.core.transport import (
+    REPRO_MP_START_ENV,
+    REPRO_TRANSPORT_DIR_ENV,
+    REPRO_TRANSPORT_ENV,
+)
 from repro.generators.barabasi_albert import BarabasiAlbertGenerator
 from repro.generators.base import TopologyGenerator
 from repro.stats.rng import derive_seed
@@ -262,6 +266,31 @@ class TestTimeout:
         assert "timeout" in failure.error.lower()
         # The other three units all completed.
         assert len(_full_summaries(result)) == 3
+
+    def test_abandoned_publish_does_not_recreate_the_spool(
+        self, monkeypatch, tmp_path
+    ):
+        # The hung worker is abandoned, not waited for, and the run's
+        # ephemeral spool is removed when the battery returns; the
+        # worker's publish after its sleep must not bring the spool back.
+        monkeypatch.setenv(REPRO_TRANSPORT_ENV, "shared")
+        monkeypatch.setenv(REPRO_TRANSPORT_DIR_ENV, str(tmp_path))
+        sleep_seconds = 2.0
+        victim = unit_seed("sleepy", 0)
+        roster = {
+            "sleepy": SleepingGenerator(
+                sleep_seeds=[victim], sleep_seconds=sleep_seconds
+            ),
+            "ba": "barabasi-albert",
+        }
+        result = run_battery(
+            roster, n=N, seeds=2, base_seed=BASE_SEED, jobs=PARALLEL_JOBS,
+            timeout=0.5, **FAST,
+        )
+        (failure,) = result.failures
+        assert failure.status == "timeout"
+        time.sleep(sleep_seconds + 1.5)
+        assert not list(tmp_path.glob("repro-spool-*"))
 
     @pytest.mark.parametrize("jobs", [1, PARALLEL_JOBS])
     def test_late_overrun_is_a_timeout_at_every_jobs(self, jobs):

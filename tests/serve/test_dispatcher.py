@@ -154,6 +154,53 @@ class TestCoalescing:
             d.shutdown()
 
 
+class TestHitPath:
+    def test_cached_summarize_is_answered_without_the_queue(self, dispatcher, tmp_path):
+        spec = {"model": MODEL, "n": N, "seed": 7}
+        expected = dispatcher.call("summarize", spec)
+        # start=False: no thread drains this dispatcher's queue, so only an
+        # answer on the submitting thread can complete the future.
+        d = ServeDispatcher(
+            jobs=1, root=dispatcher.root, queue_limit=1, start=False,
+            prewarm=False, journal=tmp_path / "run.jsonl",
+        )
+        try:
+            # A request with work to do takes the one slot: a full queue
+            # sheds compute only.
+            d.submit("summarize", {"model": MODEL, "n": N, "seed": 70})
+            enqueued_before = _counter("serve.enqueued")
+            future = d.submit("summarize", spec)
+            assert future.done()
+            result = future.result(timeout=0)
+            assert result["generated"] == 0
+            assert result["values"] == expected["values"]
+            assert _counter("serve.enqueued") == enqueued_before
+        finally:
+            d.shutdown()
+        (event,) = [e for e in d.journal.events() if e["event"] == "serve_request"]
+        assert event["queued"] is False
+
+    def test_queued_request_is_probed_once(self, tmp_path):
+        d = ServeDispatcher(
+            jobs=1, root=tmp_path / "root", threads=1,
+            journal=tmp_path / "run.jsonl",
+        )
+        try:
+            spec = {"model": MODEL, "n": N, "seed": 8}
+            d.call("summarize", dict(spec, groups="size"))
+            before = d.cache.stats.snapshot()
+            result = d.call("summarize", dict(spec, groups="size,tail,core"))
+            delta = d.cache.stats.delta(before)
+            assert (delta.hits, delta.misses) == (1, 2)
+            assert result["cached_groups"] == ["size"]
+            assert result["computed_groups"] == ["core", "tail"]
+            d.call("summarize", dict(spec, groups="size,tail,core"))
+        finally:
+            d.shutdown()
+        events = [e for e in d.journal.events() if e["event"] == "serve_request"]
+        assert [e["queued"] for e in events] == [True, True, False]
+
+
 class TestLoadShedding:
     def test_queue_full_raises_serve_busy(self, tmp_path):
         d = ServeDispatcher(
